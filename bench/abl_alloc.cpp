@@ -1,11 +1,15 @@
 // Ablation: epoch-integrated slab version allocator (EngineConfig::
-// version_allocator = kSlab) vs raw malloc/free (kMalloc). Two quantities:
+// version_allocator = kSlab) vs raw malloc/free (kMalloc). Three quantities:
 //
 //  1. A version-churn microbenchmark — each thread keeps a sliding window of
 //     live versions with chain-like mixed payload sizes and replaces the
 //     oldest every iteration, the allocation pattern an update-heavy OLTP
 //     worker produces — reported as ns per alloc+free pair.
-//  2. End-to-end TPC-C (NewOrder/Payment mix), one fresh database per mode,
+//  2. A GC retire burst — one thread pins an epoch, FreeDeferred()s N
+//     versions (what a GC pass does with the chains it trims), then unpins
+//     and harvests — reported as ns per deferred free for growing N. A flat
+//     ns/op means the limbo harvest is linear in the burst size.
+//  3. End-to-end TPC-C (NewOrder/Payment mix), one fresh database per mode,
 //     reported as overall tps and NewOrder tpmC with the slab/malloc delta.
 //
 // Note: ERMIA_VERSION_ALLOCATOR overrides the per-mode config inside
@@ -18,6 +22,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "epoch/epoch_manager.h"
 #include "storage/version.h"
 #include "storage/version_alloc.h"
 #include "workloads/tpcc/tpcc_workload.h"
@@ -91,6 +96,35 @@ ChurnPoint RunChurn(VersionAllocMode mode, uint32_t threads, uint64_t ops) {
   return p;
 }
 
+// Retires `n` versions under a held epoch pin, then unpins and harvests; the
+// timed span covers the frees and the harvest that reclaims them.
+BenchResult RunRetireBurst(EpochManager* mgr, size_t n) {
+  VersionAllocator& va = VersionAllocator::Instance();
+  const std::string payload(100, 'r');
+  std::vector<Version*> versions;
+  versions.reserve(n);
+  for (size_t i = 0; i < n; ++i) versions.push_back(Version::Alloc(payload));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  mgr->Enter();
+  for (Version* v : versions) Version::FreeDeferred(mgr, v);
+  mgr->Exit();
+  mgr->Advance();
+  const size_t reclaimed = va.HarvestThisThread();
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  ERMIA_CHECK(reclaimed >= n);
+
+  BenchResult r;
+  r.seconds = secs;
+  r.threads = 1;
+  r.type_names = {"deferred_free"};
+  r.per_type.resize(1);
+  r.per_type[0].commits = n;
+  return r;
+}
+
 struct TpccPoint {
   double tps = 0;
   double neworder_tpmc = 0;
@@ -155,6 +189,22 @@ int main(int argc, char** argv) {
   if (churn_ns[1] > 0) {
     std::printf("slab speedup over malloc: %.2fx\n",
                 churn_ns[0] / churn_ns[1]);
+  }
+
+  std::printf("\n-- GC retire burst: 1 pinned thread, FreeDeferred then "
+              "unpin + harvest, slab --\n");
+  std::printf("%10s %12s\n", "versions", "ns/op");
+  VersionAllocator::Instance().SetMode(VersionAllocMode::kSlab);
+  {
+    EpochManager mgr;
+    VersionAllocator::Instance().AttachEpoch(&mgr);
+    for (size_t n : {10000, 100000, 300000}) {
+      BenchResult r = RunRetireBurst(&mgr, n);
+      std::printf("%10zu %12.1f\n", n,
+                  r.seconds * 1e9 / static_cast<double>(n));
+      json.Add("retire_burst/" + std::to_string(n), r);
+    }
+    VersionAllocator::Instance().DetachEpoch(&mgr);
   }
 
   std::printf("\n-- TPC-C (ERMIA-SI, %u threads, %u warehouses, %.1fs per "

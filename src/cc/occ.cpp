@@ -14,6 +14,26 @@
 
 namespace ermia {
 
+namespace {
+
+// A read is still valid if its slot leads to the observed version through
+// nothing but our own installs. An absence read (version == nullptr) passes
+// over any in-flight version, foreign ones included: it is broken only by a
+// committed version, so a scan that skipped an uncommitted insert still
+// commits.
+bool ReadStillValid(const ReadSetEntry& r, uint64_t tid) {
+  Version* v = r.slot->load(std::memory_order_acquire);
+  while (v != nullptr && v != r.version) {
+    const uint64_t s = v->clsn.load(std::memory_order_acquire);
+    if (!IsTidStamp(s)) break;
+    if (r.version != nullptr && TidFromStamp(s) != tid) break;
+    v = v->next.load(std::memory_order_acquire);
+  }
+  return v == r.version;
+}
+
+}  // namespace
+
 // Latest committed version in the chain (skipping in-flight TID-stamped heads
 // of other transactions, and treating our own installed versions as visible).
 Version* Transaction::OccLatestCommitted(Version* head) {
@@ -41,7 +61,13 @@ Status Transaction::OccRead(Table* table, Oid oid, Slice* value) {
     slot = table->array().Slot(oid);
     v = OccLatestCommitted(slot->load(std::memory_order_acquire));
   }
-  if (v == nullptr) return Status::NotFound();
+  if (v == nullptr) {
+    // Absence is validated too (see ReadStillValid): a foreign insert that
+    // commits on this slot before our commit fails validation. Insert relies
+    // on this when its probe found the key but no committed version.
+    read_set_.push_back({nullptr, slot});
+    return Status::NotFound();
+  }
   if (ERMIA_UNLIKELY(v->stub)) v = MaterializeStub(table, oid, v);
   read_set_.push_back({v, slot});
   if (v->tombstone) return Status::NotFound();
@@ -84,6 +110,15 @@ Status Transaction::OccUpdate(Table* table, Oid oid, const Slice& value,
   // Fresh intent against the latest committed version. Deferred install:
   // conflicts surface at commit (the lazy coordination the paper critiques).
   Version* prev = OccLatestCommitted(slot->load(std::memory_order_acquire));
+  if (prev == nullptr) {
+    // No committed version: the record is a foreign insert still in flight
+    // (or already rolled back). An intent built on the empty chain would
+    // install once that insert aborts, onto an OID whose index entry the
+    // rollback removed, and a later insert of the same key would then win a
+    // second time. The racing insert owns the record.
+    MarkAbort(metrics::AbortReason::kOccWriteWrite);
+    return Status::Conflict("occ write-write (uncommitted insert)");
+  }
   Version* nv = Version::Alloc(value, tombstone);
   nv->clsn.store(MakeTidStamp(tid_), std::memory_order_relaxed);
   nv->next.store(prev, std::memory_order_relaxed);
@@ -116,13 +151,7 @@ Status Transaction::OccReadOnlyCommit() {
   // (writer-wins, as in the write-bearing path).
   bool valid = true;
   for (const auto& r : read_set_) {
-    Version* v = r.slot->load(std::memory_order_acquire);
-    while (v != nullptr && v != r.version) {
-      const uint64_t s = v->clsn.load(std::memory_order_acquire);
-      if (!IsTidStamp(s) || TidFromStamp(s) != tid_) break;
-      v = v->next.load(std::memory_order_acquire);
-    }
-    if (v != r.version) {
+    if (!ReadStillValid(r, tid_)) {
       valid = false;
       break;
     }
@@ -168,24 +197,20 @@ Status Transaction::OccCommit() {
 
   // Commit stamp: one fetch_add, as in ERMIA proper. (Silo uses epoch-based
   // TIDs; a totally ordered stamp only strengthens the baseline.)
+  // As in SiCommit: kCommitting with a pending stamp is published before the
+  // claim, so snapshot readers that begin after it wait for our outcome.
+  ctx_->cstamp.store(kCstampPending, std::memory_order_release);
+  ctx_->StoreState(TxnState::kCommitting);
   Lsn clsn = ReserveCommitBlock();
   ctx_->cstamp.store(clsn.value(), std::memory_order_release);
-  ctx_->StoreState(TxnState::kCommitting);
   if (ERMIA_UNLIKELY(traced_)) {
     trace::Emit(trace::Event::kCertifyBegin, tid_, 0, 0);
   }
 
-  // Phase 2: validate the read set. A read is valid if the slot still leads
-  // to the observed version through nothing but our own installs.
+  // Phase 2: validate the read set.
   bool valid = true;
   for (const auto& r : read_set_) {
-    Version* v = r.slot->load(std::memory_order_acquire);
-    while (v != nullptr && v != r.version) {
-      const uint64_t s = v->clsn.load(std::memory_order_acquire);
-      if (!IsTidStamp(s) || TidFromStamp(s) != tid_) break;
-      v = v->next.load(std::memory_order_acquire);
-    }
-    if (v != r.version) {
+    if (!ReadStillValid(r, tid_)) {
       valid = false;
       break;
     }

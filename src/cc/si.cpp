@@ -35,10 +35,12 @@ Version* Transaction::SiVisibleVersion(Table* table, Oid oid) {
         v = v->next.load(std::memory_order_acquire);
         continue;
       case TidManager::Outcome::kInFlight:
-        if (cstamp != 0 && Lsn(cstamp).offset() < begin_) {
-          // Pre-committing with a stamp inside our snapshot: its outcome
-          // determines what we must read — wait it out (pre-commit is short
-          // and never blocks on us, so this is bounded).
+        if (cstamp == kCstampPending ||
+            (cstamp != 0 && Lsn(cstamp).offset() < begin_)) {
+          // Pre-committing with a stamp inside our snapshot, or one not yet
+          // claimed (it may land below our begin): its outcome determines
+          // what we must read — wait it out (pre-commit is short and never
+          // blocks on us, so this is bounded).
           backoff.Pause();
           continue;
         }
@@ -158,9 +160,14 @@ Status Transaction::SiUpdate(Table* table, Oid oid, const Slice& value,
 }
 
 Status Transaction::SiCommit() {
+  // Announce kCommitting (stamp pending) before claiming the stamp: the claim
+  // advances the log tail, so a snapshot that begins after it must find us
+  // committing and wait for our outcome rather than skip us as still active
+  // (which would tear its snapshot once our stamp appears below its begin).
+  ctx_->cstamp.store(kCstampPending, std::memory_order_release);
+  ctx_->StoreState(TxnState::kCommitting);
   Lsn clsn = ReserveCommitBlock();
   ctx_->cstamp.store(clsn.value(), std::memory_order_release);
-  ctx_->StoreState(TxnState::kCommitting);
   InstallCommitBlock(clsn);
   // Visibility point: all updates become visible atomically (§3.1).
   ctx_->StoreState(TxnState::kCommitted);

@@ -377,6 +377,7 @@ metrics::MetricsSnapshot Database::SnapshotMetrics() const {
   set(metrics::Ctr::kVerAllocDeferredFrees, va.deferred_frees);
   set(metrics::Ctr::kVerAllocLimboRecycled, va.limbo_recycled);
   set(metrics::Ctr::kVerAllocLimboSize, va.limbo_size);
+  set(metrics::Ctr::kVerAllocHarvestScanned, va.harvest_entries_scanned);
   // Flight-recorder totals (process-global rings, trace/trace.h): recorded
   // events and events lost to ring wrap.
   set(metrics::Ctr::kTraceEventsRecorded, trace::TotalRecorded());

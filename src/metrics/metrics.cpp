@@ -171,6 +171,8 @@ const char* CtrName(Ctr c) {
       return "ver_alloc_limbo_recycled";
     case Ctr::kVerAllocLimboSize:
       return "ver_alloc_limbo_size";
+    case Ctr::kVerAllocHarvestScanned:
+      return "ver_alloc_harvest_entries_scanned";
     case Ctr::kTraceEventsRecorded:
       return "trace_events_recorded";
     case Ctr::kTraceEventsDropped:
@@ -215,6 +217,8 @@ const char* HistName(Hist h) {
       return "recovery_batch_records";
     case Hist::kRecoveryBatchUs:
       return "recovery_batch_us";
+    case Hist::kGcPassUs:
+      return "gc_pass_us";
     case Hist::kNumHists:
       break;
   }

@@ -137,6 +137,7 @@ enum class Ctr : uint32_t {
   kVerAllocDeferredFrees,
   kVerAllocLimboRecycled,
   kVerAllocLimboSize,
+  kVerAllocHarvestScanned,
   // Flight recorder (trace/trace.h): process-global totals — events written
   // into the per-thread rings and events overwritten before any dump read
   // them (ring wrap).
@@ -185,6 +186,7 @@ enum class Hist : uint32_t {
   kEpochReclaimBatch,   // deferred cleanups executed per RunReclaimers
   kRecoveryBatchRecords,  // records per replay-worker batch (parallel path)
   kRecoveryBatchUs,       // install time of one replay-worker batch
+  kGcPassUs,              // wall time of one GarbageCollector::RunOnce
   kNumHists,
 };
 

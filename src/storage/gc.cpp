@@ -46,6 +46,7 @@ void GarbageCollector::NotifyUpdate(Table* table, Oid oid) {
 }
 
 size_t GarbageCollector::RunOnce() {
+  const auto t0 = std::chrono::steady_clock::now();
   // Pin the epoch for the whole pass: the chain walk reads versions that a
   // concurrent worker may recycle once the limbo boundary passes their
   // retirement epoch. The daemon's own post-pass Advance used to be the only
@@ -119,10 +120,14 @@ size_t GarbageCollector::RunOnce() {
   }
   total_reclaimed_.fetch_add(reclaimed, std::memory_order_relaxed);
   if (metrics_ != nullptr) {
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
     metrics_->Inc(metrics::Ctr::kGcPasses);
     if (reclaimed > 0) {
       metrics_->Inc(metrics::Ctr::kGcVersionsReclaimed, reclaimed);
     }
+    metrics_->Observe(metrics::Hist::kGcPassUs, static_cast<uint64_t>(us));
   }
   if (ERMIA_UNLIKELY(traced)) {
     trace::Emit(trace::Event::kGcPassEnd, 0, reclaimed, 0);

@@ -101,6 +101,14 @@ struct VersionAllocator::ThreadCache {
   // owner-mutated without a latch).
   std::atomic<uint64_t> limbo_count{0};
   uint32_t deferred_since_harvest = 0;
+  // Per registry slot: the generation and reclaim boundary this thread's
+  // last full limbo scan ran against. Every entry still in limbo has an
+  // epoch above its slot's seen_boundary (survivors of that scan were above
+  // it, and later entries are tagged with current(), which always exceeds
+  // any boundary read before), so until a boundary rises, a generation
+  // changes or foreign entries are adopted, a scan cannot reclaim anything.
+  uint32_t seen_gen[kMaxEpochSlots] = {};
+  uint64_t seen_boundary[kMaxEpochSlots] = {};
   char* slab_pos = nullptr;
   char* slab_end = nullptr;
   ThreadCache* next = nullptr;
@@ -116,6 +124,7 @@ struct VersionAllocator::ThreadCache {
     std::atomic<uint64_t> deferred_frees{0};
     std::atomic<uint64_t> limbo_recycled{0};
     std::atomic<uint64_t> immediate_frees{0};
+    std::atomic<uint64_t> harvest_entries_scanned{0};
   } stats;
 };
 
@@ -197,6 +206,8 @@ void VersionAllocator::RetireCache(ThreadCache* c) {
   folded_.limbo_recycled += s.limbo_recycled.load(std::memory_order_relaxed);
   folded_.immediate_frees +=
       s.immediate_frees.load(std::memory_order_relaxed);
+  folded_.harvest_entries_scanned +=
+      s.harvest_entries_scanned.load(std::memory_order_relaxed);
   ThreadCache** pp = &caches_head_;
   while (*pp != nullptr && *pp != c) pp = &(*pp)->next;
   if (*pp == c) *pp = c->next;
@@ -366,8 +377,8 @@ void VersionAllocator::FreeDeferredViaManager(void* block, uint8_t cls,
   mgr->Defer([this, block, cls] { Free(block, cls); });
 }
 
-void VersionAllocator::DrainOrphansInto(ThreadCache* c) {
-  if (orphan_count_.load(std::memory_order_acquire) == 0) return;
+bool VersionAllocator::DrainOrphansInto(ThreadCache* c) {
+  if (orphan_count_.load(std::memory_order_acquire) == 0) return false;
   SpinLatchGuard g(caches_latch_);
   constexpr size_t kAdoptMax = 256;
   size_t take = orphans_->size() < kAdoptMax ? orphans_->size() : kAdoptMax;
@@ -377,10 +388,13 @@ void VersionAllocator::DrainOrphansInto(ThreadCache* c) {
   }
   orphan_count_.store(orphans_->size(), std::memory_order_release);
   c->limbo_count.store(c->limbo.size(), std::memory_order_relaxed);
+  return true;
 }
 
 size_t VersionAllocator::Harvest(ThreadCache* c) {
-  DrainOrphansInto(c);
+  // Adopted entries were tagged by other threads, so they are not covered
+  // by this thread's seen boundaries: they force a scan.
+  bool changed = DrainOrphansInto(c);
   if (c->limbo.empty()) return 0;
   // Snapshot every attached manager's reclaim boundary once, under the
   // latch: DetachEpoch also takes it, so a manager observed attached here
@@ -400,6 +414,20 @@ size_t VersionAllocator::Harvest(ThreadCache* c) {
           snap[s].mgr != nullptr ? snap[s].mgr->ReclaimBoundary() : 0;
     }
   }
+  // Scan only if some entry can have become reclaimable (see seen_boundary).
+  // A thread that frees many versions under a held boundary, as the GC
+  // daemon does for a whole pinned pass, then pays one scan, not one per
+  // kHarvestPeriod frees (quadratic in the pass size).
+  for (uint32_t s = 0; s < kMaxEpochSlots; ++s) {
+    changed |= snap[s].gen != c->seen_gen[s] ||
+               snap[s].boundary > c->seen_boundary[s];
+  }
+  if (!changed) return 0;
+  for (uint32_t s = 0; s < kMaxEpochSlots; ++s) {
+    c->seen_gen[s] = snap[s].gen;
+    c->seen_boundary[s] = snap[s].boundary;
+  }
+  Bump(c->stats.harvest_entries_scanned, c->limbo.size());
   size_t reclaimed = 0;
   size_t kept = 0;
   for (size_t i = 0; i < c->limbo.size(); ++i) {
@@ -484,6 +512,8 @@ VersionAllocator::Stats VersionAllocator::Snapshot() const {
     out.deferred_frees += s.deferred_frees.load(std::memory_order_relaxed);
     out.limbo_recycled += s.limbo_recycled.load(std::memory_order_relaxed);
     out.immediate_frees += s.immediate_frees.load(std::memory_order_relaxed);
+    out.harvest_entries_scanned +=
+        s.harvest_entries_scanned.load(std::memory_order_relaxed);
     out.limbo_size += c->limbo_count.load(std::memory_order_relaxed);
   }
   out.limbo_size += orphan_count_.load(std::memory_order_relaxed);

@@ -20,7 +20,11 @@
 //    limbo list — the block's bytes are NOT touched — tagged with the current
 //    epoch. A periodic harvest moves limbo entries whose epoch has fallen at
 //    or below the manager's ReclaimBoundary() onto the freelists (only then
-//    is the first word reused as the freelist link). Free() without an epoch
+//    is the first word reused as the freelist link). A harvest scans the
+//    limbo only when a boundary has risen or a slot generation changed since
+//    the thread's last scan (or orphans were adopted); otherwise no entry can
+//    have become reclaimable and it returns at once, which keeps a long run
+//    of deferred frees under a held boundary linear. Free() without an epoch
 //    is reserved for versions that were never published to a chain.
 //  * Transfer cache. Freelist overflow (e.g. the GC daemon reclaiming whole
 //    chains) is flushed to a per-class lock-free Treiber stack in batches of
@@ -112,6 +116,7 @@ class VersionAllocator {
     uint64_t deferred_frees = 0;    // FreeDeferred calls
     uint64_t limbo_recycled = 0;    // limbo entries harvested to freelists
     uint64_t immediate_frees = 0;   // Free calls on slab blocks
+    uint64_t harvest_entries_scanned = 0;  // limbo entries examined by harvests
     uint64_t limbo_size = 0;        // entries currently awaiting their epoch
   };
   Stats Snapshot() const;
@@ -125,8 +130,8 @@ class VersionAllocator {
   // (catches writes between reclamation and reuse). Enable only in tests:
   // verification assumes no concurrent allocator traffic on poisoned blocks.
   void SetPoison(bool on) { poison_.store(on, std::memory_order_release); }
-  // Forces a harvest of the calling thread's limbo; returns entries moved to
-  // freelists.
+  // Harvests the calling thread's limbo now (same rule as the periodic
+  // harvest); returns entries moved to freelists.
   size_t HarvestThisThread();
   // Pushes the calling thread's freelists to the transfer cache.
   void FlushThisThread();
@@ -146,7 +151,7 @@ class VersionAllocator {
   bool SpliceFromTransfer(ThreadCache* c, uint8_t cls);
   void* CarveFromSlab(ThreadCache* c, uint8_t cls);
   size_t Harvest(ThreadCache* c);
-  void DrainOrphansInto(ThreadCache* c);
+  bool DrainOrphansInto(ThreadCache* c);
   void ApplyPoison(void* block, uint8_t cls);
   void VerifyPoison(void* block, uint8_t cls);
 

@@ -201,5 +201,46 @@ TEST_F(OccTest, DeleteValidatesAgainstConcurrentRead) {
   EXPECT_TRUE(reader.Commit().IsAborted());  // x was overwritten (tombstone)
 }
 
+// An insert whose probe finds the key held only by a foreign in-flight insert
+// must not build on the empty chain: once that insert rolls back (removing
+// its index entry) the intent would install onto an unindexed OID, and a
+// later insert of the key would win it a second time.
+TEST_F(OccTest, InsertOverInFlightInsertHasOneWinner) {
+  Transaction first(db_->get(), CcScheme::kOcc);
+  ASSERT_TRUE(first.Insert(table_, pk_, "k", "first", nullptr).ok());
+
+  Transaction second(db_->get(), CcScheme::kOcc);
+  const Status s = second.Insert(table_, pk_, "k", "second", nullptr);
+  EXPECT_TRUE(s.IsConflict()) << s.ToString();
+  first.Abort();
+  const bool second_won = s.ok() && second.Commit().ok();
+  if (!second.finished()) second.Abort();
+  EXPECT_FALSE(second_won);
+
+  Transaction third(db_->get(), CcScheme::kOcc);
+  ASSERT_TRUE(third.Insert(table_, pk_, "k", "third", nullptr).ok());
+  ASSERT_TRUE(third.Commit().ok());
+  EXPECT_EQ(Get("k"), "third");
+}
+
+// Reading a record that has no committed version is validated: the read
+// fails once a foreign insert commits there, but not while it is in flight.
+TEST_F(OccTest, AbsenceReadValidatesAgainstCommittedInsert) {
+  Transaction inserter(db_->get(), CcScheme::kOcc);
+  Oid oid = 0;
+  ASSERT_TRUE(inserter.Insert(table_, pk_, "k", "v", &oid).ok());
+
+  Transaction early(db_->get(), CcScheme::kOcc);
+  Slice v;
+  ASSERT_TRUE(early.Read(table_, oid, &v).IsNotFound());
+  EXPECT_TRUE(early.Commit().ok());  // insert still in flight
+
+  Transaction late(db_->get(), CcScheme::kOcc);
+  ASSERT_TRUE(late.Read(table_, oid, &v).IsNotFound());
+  ASSERT_TRUE(inserter.Commit().ok());
+  ASSERT_TRUE(late.Update(table_, OidOf("y"), "late").ok());
+  EXPECT_TRUE(late.Commit().IsAborted());
+}
+
 }  // namespace
 }  // namespace ermia

@@ -4,6 +4,7 @@
 // each configuration.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -83,6 +84,11 @@ struct EngineVariant {
   bool lazy_recovery;
   uint64_t log_segment_size;
 };
+
+// Print a variant by name. gtest's default byte dump would include the
+// `name` pointer, which address randomization changes on every run, so the
+// discovered test names would differ from build to build.
+void PrintTo(const EngineVariant& v, std::ostream* os) { *os << v.name; }
 
 class EngineConfigTest : public ::testing::TestWithParam<EngineVariant> {};
 

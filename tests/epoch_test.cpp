@@ -138,6 +138,7 @@ TEST(EpochTest, ConcurrentReclamationSafety) {
       ThreadRegistry::Deregister();
     });
   }
+  std::vector<Resource*> husks;  // written by the writer only
   std::thread writer([&] {
     for (int round = 0; round < 200; ++round) {
       const int i = round % 64;
@@ -148,10 +149,12 @@ TEST(EpochTest, ConcurrentReclamationSafety) {
         old = live[i];
         live[i] = fresh;
       }
+      husks.push_back(old);
       mgr.Defer([old, &freed] {
         old->dead.store(true, std::memory_order_release);
         freed.fetch_add(1);
-        // Intentionally leak the husk: readers probe `dead` afterwards.
+        // Keep the husk allocated: readers probe `dead` afterwards. It is
+        // deleted once every thread has joined.
       });
       mgr.Advance();
       mgr.RunReclaimers();
@@ -166,6 +169,8 @@ TEST(EpochTest, ConcurrentReclamationSafety) {
   mgr.RunReclaimers();
   EXPECT_EQ(use_after_free.load(), 0u);
   EXPECT_EQ(freed.load(), 200u);
+  for (Resource* r : husks) delete r;
+  for (Resource* r : live) delete r;
 }
 
 TEST(EpochTest, ManyManagersIndependentTimescales) {

@@ -319,13 +319,17 @@ TEST_F(MetricsDbTest, JsonExportShape) {
     ASSERT_TRUE(t.Update(table_, x, "1").ok());
     ASSERT_TRUE(t.Commit().ok());
   }
-  const std::string json = (*db_)->SnapshotMetrics().ToJson();
+  (*db_)->gc().RunOnce();
+  const metrics::MetricsSnapshot snap = (*db_)->SnapshotMetrics();
+  EXPECT_GT(snap.hist(metrics::Hist::kGcPassUs).count, 0u);
+  const std::string json = snap.ToJson();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"txn_commits\""), std::string::npos);
   EXPECT_NE(json.find("\"abort_reasons\""), std::string::npos);
   EXPECT_NE(json.find("\"si_first_updater_wins\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(json.find("\"log_flush_latency_us\""), std::string::npos);
+  EXPECT_NE(json.find("\"gc_pass_us\""), std::string::npos);
   EXPECT_NE(json.find("\"profile\""), std::string::npos);
   // Balanced braces/brackets (no nesting errors from the writer).
   int depth = 0;

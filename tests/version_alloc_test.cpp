@@ -179,6 +179,49 @@ TEST(VersionAllocTest, DetachedManagerEntriesReclaimImmediately) {
   EXPECT_GE(va.HarvestThisThread(), 1u);
 }
 
+TEST(VersionAllocTest, DeferredFreesWhilePinnedStayLinear) {
+  // The GC daemon pins its epoch for a whole pass and retires every version
+  // it unlinks through FreeDeferred. The boundary cannot move while the pin
+  // is held, so periodic harvests must not rescan the growing limbo.
+  VersionAllocator& va = VersionAllocator::Instance();
+  va.SetMode(VersionAllocMode::kSlab);
+  va.SetPoison(true);
+  EpochManager mgr;
+  va.AttachEpoch(&mgr);
+  ThreadRegistry::MyId();
+  va.HarvestThisThread();  // settle limbo left by earlier tests
+
+  constexpr size_t kN = 100000;
+  const std::string payload(40, 'g');
+  std::vector<Version*> versions;
+  versions.reserve(kN);
+  for (size_t i = 0; i < kN; ++i) versions.push_back(Version::Alloc(payload));
+  std::unordered_set<void*> retired(versions.begin(), versions.end());
+
+  mgr.Enter();
+  const uint64_t scanned_before = va.Snapshot().harvest_entries_scanned;
+  for (Version* v : versions) Version::FreeDeferred(&mgr, v);
+  const uint64_t scanned =
+      va.Snapshot().harvest_entries_scanned - scanned_before;
+  // A rescan every kHarvestPeriod frees would examine ~N^2/128 entries.
+  EXPECT_LE(scanned, 2 * kN);
+
+  mgr.Exit();
+  mgr.Advance();
+  EXPECT_GE(va.HarvestThisThread(), kN);
+  // Reallocation hands the reclaimed blocks back through poison
+  // verification: a write between reclamation and reuse trips a check.
+  size_t reused = 0;
+  for (size_t i = 0; i < kN; ++i) {
+    versions[i] = Version::Alloc(payload);
+    reused += retired.count(versions[i]);
+  }
+  EXPECT_GT(reused, kN / 2);
+  for (Version* v : versions) Version::Free(v);
+  va.SetPoison(false);
+  va.DetachEpoch(&mgr);
+}
+
 TEST(TxnResourcePoolTest, ReuseRetainsCapacity) {
   // Drain whatever earlier tests parked so hit/miss expectations are exact.
   std::vector<TxnResources*> drained;
@@ -260,8 +303,18 @@ TEST(VersionAllocTest, EngineExposesAllocatorGauges) {
     ASSERT_TRUE(txn.Insert(table, pk, key, "value", nullptr).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
+  // Retire a harvest period's worth of versions against this Database's
+  // fresh epoch slot, as a GC pass would. At least one harvest runs, and
+  // the first one against a new slot generation always scans.
+  const uint64_t scanned_before =
+      VersionAllocator::Instance().Snapshot().harvest_entries_scanned;
+  for (uint32_t i = 0; i < VersionAllocator::kHarvestPeriod; ++i) {
+    Version::FreeDeferred(&db->gc_epoch(), Version::Alloc("retired"));
+  }
   const metrics::MetricsSnapshot snap = db->SnapshotMetrics();
   EXPECT_GT(snap.counter(metrics::Ctr::kVerAllocSlabBytes), 0u);
+  EXPECT_GT(snap.counter(metrics::Ctr::kVerAllocHarvestScanned),
+            scanned_before);
   EXPECT_GT(snap.counter(metrics::Ctr::kTxnResPoolHits) +
                 snap.counter(metrics::Ctr::kTxnResPoolMisses),
             0u);
