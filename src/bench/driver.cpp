@@ -3,10 +3,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 #include <thread>
 
 #include "metrics/json.h"
@@ -23,6 +25,27 @@ uint64_t NowMicros() {
       std::chrono::duration_cast<std::chrono::microseconds>(
           Clock::now().time_since_epoch())
           .count());
+}
+
+// Parses all of `text` as a number > 0; a malformed, zero or negative value
+// is fatal, so a typo cannot silently run an empty or zero-length sweep.
+template <typename T>
+T ParsePositive(const char* var, std::string_view text) {
+  T value{};
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() || !(value > 0)) {
+    std::fprintf(stderr, "%s: '%.*s' is not a positive number\n", var,
+                 static_cast<int>(text.size()), text.data());
+    std::exit(2);
+  }
+  return value;
+}
+
+template <typename T>
+T EnvPositive(const char* var, T def) {
+  const char* v = std::getenv(var);
+  return v != nullptr ? ParsePositive<T>(var, v) : def;
 }
 
 }  // namespace
@@ -139,32 +162,29 @@ void JsonReporter::Add(const std::string& label, const BenchResult& result) {
 }
 
 double EnvSeconds(double def) {
-  const char* v = std::getenv("ERMIA_BENCH_SECONDS");
-  return v != nullptr ? std::atof(v) : def;
+  return EnvPositive("ERMIA_BENCH_SECONDS", def);
 }
 
 std::vector<uint32_t> EnvThreads(const std::vector<uint32_t>& def) {
   const char* v = std::getenv("ERMIA_BENCH_THREADS");
   if (v == nullptr) return def;
   std::vector<uint32_t> out;
-  const char* p = v;
-  while (*p != '\0') {
-    out.push_back(static_cast<uint32_t>(std::strtoul(p, nullptr, 10)));
-    const char* comma = std::strchr(p, ',');
-    if (comma == nullptr) break;
-    p = comma + 1;
+  std::string_view rest(v);
+  while (true) {
+    const size_t comma = rest.find(',');
+    out.push_back(
+        ParsePositive<uint32_t>("ERMIA_BENCH_THREADS", rest.substr(0, comma)));
+    if (comma == std::string_view::npos) return out;
+    rest.remove_prefix(comma + 1);
   }
-  return out.empty() ? def : out;
 }
 
 uint32_t EnvScale(uint32_t def) {
-  const char* v = std::getenv("ERMIA_BENCH_SCALE");
-  return v != nullptr ? static_cast<uint32_t>(std::atoi(v)) : def;
+  return EnvPositive("ERMIA_BENCH_SCALE", def);
 }
 
 double EnvDensity(double def) {
-  const char* v = std::getenv("ERMIA_BENCH_DENSITY");
-  return v != nullptr ? std::atof(v) : def;
+  return EnvPositive("ERMIA_BENCH_DENSITY", def);
 }
 
 ScopedDatabase::ScopedDatabase(EngineConfig config) {

@@ -54,6 +54,8 @@ BenchResult RunBench(Database* db, Workload* workload,
 
 // ---- shared environment knobs so `for b in build/bench/*` stays fast on a
 // small box but scales to paper-sized runs -----------------------------------
+// Each value must be a positive number (thread counts: a comma list of them);
+// anything else exits with a message naming the variable.
 
 // ERMIA_BENCH_SECONDS (default `def`): run duration per data point.
 double EnvSeconds(double def);

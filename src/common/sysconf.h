@@ -44,6 +44,12 @@ enum class TraceMode : uint32_t { kOff = 0, kSampled = 1, kAll = 2 };
 // and A/B ablation.
 enum class VersionAllocMode : uint32_t { kSlab = 0, kMalloc = 1 };
 
+// Five fields below can be overridden per run by an environment variable,
+// applied once at Database construction from the single table kEnvOverrides
+// in engine/database.cpp: ERMIA_VERSION_ALLOCATOR, ERMIA_TRACE,
+// ERMIA_SSN_READOPT, ERMIA_LOG_STALL and ERMIA_OVERLOAD. A value the table
+// does not accept aborts the process with a message listing the accepted
+// values.
 struct EngineConfig {
   // Directory for log segment files and checkpoints. Empty = fully in-memory
   // logging (log records still flow through the central buffer but are
@@ -67,20 +73,13 @@ struct EngineConfig {
   // recovery is unsupported in this mode.
   bool log_per_operation = false;
 
-  // SSN commit protocol. Latch-free parallel certification (the paper's
-  // Algorithm 1 with per-version stamp publication) is the default; the
-  // pre-parallel variant that serializes the exclusion-window test and stamp
-  // publication under one global spin latch is kept for one release behind
-  // this flag so the ablation bench can measure the difference.
-  bool ssn_parallel_commit = true;
-
   // SSN read-mostly optimizations (cc/safe_snapshot.h). The engine always
   // maintains a lagging safe-snapshot LSN: the highest offset below which
   // every transaction has fully post-committed and published its stamps, and
   // below which no committed backward rw-dependency (final sstamp < offset <=
-  // cstamp) crosses. These two flags gate what is done with it; the
-  // ERMIA_SSN_READOPT environment variable ("off" | "on"/"both" |
-  // "safesnap" | "readopt") overrides both at Database construction.
+  // cstamp) crosses. These two flags gate what is done with it;
+  // ERMIA_SSN_READOPT=off|0 clears both, on|1|both sets both, and safesnap /
+  // readopt each set only their own flag.
   //
   // ssn_safe_snapshot: declared read-only SiSsn transactions begin at the
   // safe-snapshot LSN and read with zero tracking — no reader slot, no
@@ -126,8 +125,8 @@ struct EngineConfig {
   // explicitly via Database::TakeCheckpoint().
   uint64_t checkpoint_interval_ms = 0;
 
-  // Version allocation backend. The ERMIA_VERSION_ALLOCATOR environment
-  // variable ("slab" | "malloc") overrides this at Database construction.
+  // Version allocation backend. Overridden by
+  // ERMIA_VERSION_ALLOCATOR=slab|malloc.
   VersionAllocMode version_allocator = VersionAllocMode::kSlab;
 
   // Metrics reporter daemon: every interval, emit a JSON-lines delta of the
@@ -139,9 +138,9 @@ struct EngineConfig {
   std::string metrics_report_path;
 
   // Flight recorder (trace/trace.h): per-thread binary event rings, always
-  // compiled in and gated at run time by this mode. The ERMIA_TRACE
-  // environment variable ("off" | "sampled[:N]" | "all") overrides it at
-  // Database construction. The recorder is process-global; only one open
+  // compiled in and gated at run time by this mode. Overridden by
+  // ERMIA_TRACE=off|all|sampled|sampled:N (N > 0 also sets
+  // trace_sample_every). The recorder is process-global; only one open
   // Database should enable tracing at a time (the enabling Database turns it
   // off again on Close()).
   TraceMode trace_mode = TraceMode::kOff;
@@ -173,8 +172,7 @@ struct EngineConfig {
   // running); any other write error or a failed fdatasync poisons the log:
   // a sticky read-only mode that never acknowledges durability past the last
   // known-good offset. When false, the legacy fail-stop ERMIA_CHECK crash is
-  // preserved. The ERMIA_LOG_STALL environment variable ("on" | "off")
-  // overrides this at Database construction.
+  // preserved. Overridden by ERMIA_LOG_STALL=on|1|off|0.
   bool log_degraded_modes = true;
 
   // Stalled-flusher retry pacing: exponential backoff between flush retries,
@@ -186,8 +184,7 @@ struct EngineConfig {
   // concurrent writers when the measured abort rate crosses the high
   // watermark and re-grows the limit when it falls below the low one.
   // Off by default (it trades peak throughput for goodput under contention);
-  // the ERMIA_OVERLOAD environment variable ("on" | "off") overrides it at
-  // Database construction.
+  // overridden by ERMIA_OVERLOAD=on|1|off|0.
   bool governor_enabled = false;
   uint32_t governor_high_permille = 650;  // shrink limit above this rate
   uint32_t governor_low_permille = 300;   // grow limit below this rate

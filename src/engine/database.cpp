@@ -1,9 +1,12 @@
 #include "engine/database.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
+#include <string_view>
 
 #include "common/profiling.h"
 #include "engine/governor.h"
@@ -14,94 +17,120 @@
 namespace ermia {
 
 namespace {
-// ERMIA_VERSION_ALLOCATOR=slab|malloc overrides the config (sanitizer runs
-// and ablation sweeps flip the backend without touching call sites).
-VersionAllocMode ResolveVersionAllocMode(VersionAllocMode configured) {
-  const char* env = std::getenv("ERMIA_VERSION_ALLOCATOR");
-  if (env == nullptr) return configured;
-  if (std::strcmp(env, "malloc") == 0) return VersionAllocMode::kMalloc;
-  if (std::strcmp(env, "slab") == 0) return VersionAllocMode::kSlab;
-  return configured;
-}
+// Environment overrides of EngineConfig, so CI passes, stress scripts and
+// ablation sweeps flip a knob per run without touching call sites. Each row
+// is one variable, the '|'-separated spellings of one accepted value, and the
+// change that value makes. The spelling "<prefix>:N" accepts <prefix>:
+// followed by a positive integer, passed to the row's change as n.
+struct EnvOverride {
+  const char* var;
+  const char* values;
+  void (*apply)(EngineConfig& c, uint32_t n);
+};
 
-// ERMIA_TRACE=off|sampled[:N]|all overrides trace_mode/trace_sample_every
-// (same pattern as the allocator override: CI and ad-hoc runs enable the
-// flight recorder without touching call sites).
-void ResolveTraceMode(EngineConfig* config) {
-  const char* env = std::getenv("ERMIA_TRACE");
-  if (env == nullptr) return;
-  if (std::strcmp(env, "off") == 0) {
-    config->trace_mode = TraceMode::kOff;
-  } else if (std::strcmp(env, "all") == 0) {
-    config->trace_mode = TraceMode::kAll;
-  } else if (std::strncmp(env, "sampled", 7) == 0) {
-    config->trace_mode = TraceMode::kSampled;
-    if (env[7] == ':') {
-      const long n = std::atol(env + 8);
-      if (n > 0) config->trace_sample_every = static_cast<uint32_t>(n);
+constexpr EnvOverride kEnvOverrides[] = {
+    {"ERMIA_VERSION_ALLOCATOR", "slab",
+     [](EngineConfig& c, uint32_t) {
+       c.version_allocator = VersionAllocMode::kSlab;
+     }},
+    {"ERMIA_VERSION_ALLOCATOR", "malloc",
+     [](EngineConfig& c, uint32_t) {
+       c.version_allocator = VersionAllocMode::kMalloc;
+     }},
+    {"ERMIA_TRACE", "off",
+     [](EngineConfig& c, uint32_t) { c.trace_mode = TraceMode::kOff; }},
+    {"ERMIA_TRACE", "all",
+     [](EngineConfig& c, uint32_t) { c.trace_mode = TraceMode::kAll; }},
+    {"ERMIA_TRACE", "sampled",
+     [](EngineConfig& c, uint32_t) { c.trace_mode = TraceMode::kSampled; }},
+    {"ERMIA_TRACE", "sampled:N",
+     [](EngineConfig& c, uint32_t n) {
+       c.trace_mode = TraceMode::kSampled;
+       c.trace_sample_every = n;
+     }},
+    {"ERMIA_SSN_READOPT", "off|0",
+     [](EngineConfig& c, uint32_t) {
+       c.ssn_safe_snapshot = false;
+       c.ssn_read_opt = false;
+     }},
+    {"ERMIA_SSN_READOPT", "on|1|both",
+     [](EngineConfig& c, uint32_t) {
+       c.ssn_safe_snapshot = true;
+       c.ssn_read_opt = true;
+     }},
+    {"ERMIA_SSN_READOPT", "safesnap",
+     [](EngineConfig& c, uint32_t) { c.ssn_safe_snapshot = true; }},
+    {"ERMIA_SSN_READOPT", "readopt",
+     [](EngineConfig& c, uint32_t) { c.ssn_read_opt = true; }},
+    {"ERMIA_LOG_STALL", "on|1",
+     [](EngineConfig& c, uint32_t) { c.log_degraded_modes = true; }},
+    {"ERMIA_LOG_STALL", "off|0",
+     [](EngineConfig& c, uint32_t) { c.log_degraded_modes = false; }},
+    {"ERMIA_OVERLOAD", "on|1",
+     [](EngineConfig& c, uint32_t) { c.governor_enabled = true; }},
+    {"ERMIA_OVERLOAD", "off|0",
+     [](EngineConfig& c, uint32_t) { c.governor_enabled = false; }},
+};
+
+// True if `value` is one of the '|'-separated `spellings`; a "<prefix>:N"
+// spelling also stores the parsed N.
+bool MatchesSpelling(std::string_view spellings, std::string_view value,
+                     uint32_t* n) {
+  while (!spellings.empty()) {
+    const size_t bar = spellings.find('|');
+    const std::string_view s = spellings.substr(0, bar);
+    spellings.remove_prefix(bar == std::string_view::npos ? spellings.size()
+                                                          : bar + 1);
+    if (s.ends_with(":N")) {
+      const std::string_view prefix = s.substr(0, s.size() - 1);
+      if (!value.starts_with(prefix)) continue;
+      const std::string_view digits = value.substr(prefix.size());
+      const auto [end, ec] =
+          std::from_chars(digits.data(), digits.data() + digits.size(), *n);
+      if (ec == std::errc() && end == digits.data() + digits.size() && *n > 0) {
+        return true;
+      }
+    } else if (s == value) {
+      return true;
     }
   }
+  return false;
 }
 
-// ERMIA_SSN_READOPT=off|on|both|safesnap|readopt overrides the SSN
-// read-mostly flags (cc/safe_snapshot.h) — same pattern as the allocator and
-// trace overrides, so stress scripts and CI flip the features per run.
-void ResolveSsnReadOpt(EngineConfig* config) {
-  const char* env = std::getenv("ERMIA_SSN_READOPT");
-  if (env == nullptr) return;
-  if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) {
-    config->ssn_safe_snapshot = false;
-    config->ssn_read_opt = false;
-  } else if (std::strcmp(env, "on") == 0 || std::strcmp(env, "1") == 0 ||
-             std::strcmp(env, "both") == 0) {
-    config->ssn_safe_snapshot = true;
-    config->ssn_read_opt = true;
-  } else if (std::strcmp(env, "safesnap") == 0) {
-    config->ssn_safe_snapshot = true;
-  } else if (std::strcmp(env, "readopt") == 0) {
-    config->ssn_read_opt = true;
+// Applies every set variable of kEnvOverrides (rows of one variable are
+// adjacent); a value no row accepts is fatal, so a typo cannot silently run
+// the configured default instead.
+EngineConfig ApplyEnvOverrides(EngineConfig config) {
+  const std::span<const EnvOverride> rows(kEnvOverrides);
+  for (size_t first = 0, end = 0; first < rows.size(); first = end) {
+    const char* var = rows[first].var;
+    while (end < rows.size() && std::strcmp(rows[end].var, var) == 0) ++end;
+    const char* env = std::getenv(var);
+    if (env == nullptr) continue;
+    std::string accepted;
+    bool matched = false;
+    for (const EnvOverride& row : rows.subspan(first, end - first)) {
+      uint32_t n = 0;
+      if (MatchesSpelling(row.values, env, &n)) {
+        row.apply(config, n);
+        matched = true;
+        break;
+      }
+      accepted += accepted.empty() ? "" : "|";
+      accepted += row.values;
+    }
+    if (!matched) {
+      std::fprintf(stderr, "ermia: %s=%s is not one of %s\n", var, env,
+                   accepted.c_str());
+      std::abort();
+    }
   }
-}
-
-// ERMIA_LOG_STALL=on|off overrides log_degraded_modes (fault-injection CI
-// flips between the stall protocol and legacy fail-stop without rebuilding).
-void ResolveLogStall(EngineConfig* config) {
-  const char* env = std::getenv("ERMIA_LOG_STALL");
-  if (env == nullptr) return;
-  if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) {
-    config->log_degraded_modes = false;
-  } else if (std::strcmp(env, "on") == 0 || std::strcmp(env, "1") == 0) {
-    config->log_degraded_modes = true;
-  }
-}
-
-// ERMIA_OVERLOAD=on|off overrides governor_enabled (the overload ablation
-// sweeps goodput with the governor on and off per run).
-void ResolveOverload(EngineConfig* config) {
-  const char* env = std::getenv("ERMIA_OVERLOAD");
-  if (env == nullptr) return;
-  if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0) {
-    config->governor_enabled = false;
-  } else if (std::strcmp(env, "on") == 0 || std::strcmp(env, "1") == 0) {
-    config->governor_enabled = true;
-  }
-}
-
-// Overrides that must land before the member-init list runs: LogManager
-// copies the config at construction, so log-affecting knobs resolved in the
-// constructor body would never reach it.
-EngineConfig ResolveEarlyEnv(EngineConfig config) {
-  ResolveLogStall(&config);
-  ResolveOverload(&config);
   return config;
 }
 }  // namespace
 
 Database::Database(EngineConfig config)
-    : config_(ResolveEarlyEnv(std::move(config))), log_(config_, &metrics_) {
-  config_.version_allocator = ResolveVersionAllocMode(config_.version_allocator);
-  ResolveTraceMode(&config_);
-  ResolveSsnReadOpt(&config_);
+    : config_(ApplyEnvOverrides(std::move(config))), log_(config_, &metrics_) {
   if (config_.governor_enabled) {
     governor_ = std::make_unique<OverloadGovernor>(config_, &metrics_);
   }
@@ -209,7 +238,7 @@ Status Database::Open() {
             std::chrono::milliseconds(config_.checkpoint_interval_ms));
         if (stop_daemons_.load(std::memory_order_acquire)) break;
         if (TakeCheckpoint(nullptr).ok()) {
-          checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
+          metrics_.Inc(metrics::Ctr::kCheckpointsTaken);
         }
       }
       ThreadRegistry::Deregister();
@@ -307,41 +336,6 @@ Table* Database::TableByFid(Fid fid) const {
     return nullptr;
   }
   return static_cast<Table*>(by_fid_[fid - 1]);
-}
-
-DatabaseStats Database::GetStats() const {
-  // See the DatabaseStats comment for snapshot semantics: per-counter
-  // monotone, not a consistent cut. Counters available in the sharded
-  // registry come from one metrics snapshot so that e.g.
-  // gc_versions_reclaimed here always agrees with the same snapshot's
-  // kGcVersionsReclaimed (both are fed from GarbageCollector::RunOnce).
-  const metrics::MetricsSnapshot m = SnapshotMetrics();
-  DatabaseStats s;
-  s.log_current_offset = log_.CurrentOffset();
-  s.log_durable_offset = log_.DurableOffset();
-  s.log_flushes = m.counter(metrics::Ctr::kLogFlushes);
-  s.log_flushed_bytes = m.counter(metrics::Ctr::kLogFlushedBytes);
-  s.log_blocks_installed = m.counter(metrics::Ctr::kLogBlocksInstalled);
-  s.log_skip_blocks = log_.skip_blocks();
-  s.log_dead_zone_bytes = log_.dead_zone_bytes();
-  s.log_segment_rotations = log_.segment_rotations();
-  s.txn_commits = m.counter(metrics::Ctr::kTxnCommits);
-  s.txn_aborts = m.aborts_total();
-  s.gc_passes = m.counter(metrics::Ctr::kGcPasses);
-  s.gc_versions_reclaimed = gc_->total_reclaimed();
-  s.epoch_advances = m.counter(metrics::Ctr::kEpochAdvances);
-  s.tid_active_txns = m.counter(metrics::Ctr::kTidActiveTxns);
-  s.tid_occupancy_hwm = m.counter(metrics::Ctr::kTidOccupancyHwm);
-  s.index_node_splits = m.counter(metrics::Ctr::kIndexNodeSplits);
-  s.index_read_retries = m.counter(metrics::Ctr::kIndexReadRetries);
-  s.occ_snapshot_offset = occ_snapshot_.load(std::memory_order_acquire);
-  s.checkpoints_taken = checkpoints_taken_.load(std::memory_order_relaxed);
-  {
-    SpinLatchGuard g(catalog_latch_);
-    s.num_tables = table_list_.size();
-    s.num_indexes = index_list_.size();
-  }
-  return s;
 }
 
 metrics::MetricsSnapshot Database::SnapshotMetrics() const {

@@ -94,6 +94,8 @@ enum class Ctr : uint32_t {
   kGcPasses,
   kGcVersionsReclaimed,
   kGcItemsDeferred,
+  // Checkpoint daemon (successful periodic checkpoints).
+  kCheckpointsTaken,
   // Recovery (checkpoint load + log-tail replay; serial and parallel paths).
   kRecoveryReplayBlocks,
   kRecoveryReplayRecords,
@@ -194,9 +196,9 @@ const char* HistName(Hist h);
 
 inline constexpr size_t kHistBuckets = 64;
 
-// Ablation-only kill switch: abl_metrics_overhead flips this to approximate
-// the pre-metrics baseline. Production code never sets it; the relaxed load
-// it adds to Inc/Observe is part of the overhead being measured.
+// Ablation-only kill switch: abl_observability_overhead flips this to
+// approximate the pre-metrics baseline. Production code never sets it; the
+// relaxed load it adds to Inc/Observe is part of the overhead being measured.
 inline std::atomic<bool> g_suppressed{false};
 inline void SetSuppressedForAblation(bool on) {
   g_suppressed.store(on, std::memory_order_relaxed);

@@ -118,7 +118,6 @@ size_t GarbageCollector::RunOnce() {
       v = next;
     }
   }
-  total_reclaimed_.fetch_add(reclaimed, std::memory_order_relaxed);
   if (metrics_ != nullptr) {
     const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                         std::chrono::steady_clock::now() - t0)

@@ -1,11 +1,17 @@
-// Engine edge cases: stats/introspection, the background checkpoint daemon,
-// GC behavior with pinned old snapshots, value-size extremes, many
-// tables/indexes, update churn with chain trimming, and transaction object
-// lifetime quirks (destructor abort, commit-after-finish misuse guards).
+// Engine edge cases: stats/introspection, environment config overrides, the
+// background checkpoint daemon, GC behavior with pinned old snapshots,
+// value-size extremes, many tables/indexes, update churn with chain trimming,
+// and transaction object lifetime quirks (destructor abort,
+// commit-after-finish misuse guards).
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
+#include <memory>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "test_util.h"
 
@@ -17,9 +23,9 @@ TEST(EngineStatsTest, CountersMoveTheRightWay) {
   Table* t = db->CreateTable("t");
   Index* pk = db->CreateIndex(t, "t_pk");
   ASSERT_TRUE(db->Open().ok());
-  const DatabaseStats before = db->GetStats();
-  EXPECT_EQ(before.num_tables, 1u);
-  EXPECT_EQ(before.num_indexes, 1u);
+  EXPECT_EQ(db->tables().size(), 1u);
+  EXPECT_EQ(db->index_list().size(), 1u);
+  const uint64_t offset_before = db->log().CurrentOffset();
   {
     Transaction txn(db.get(), CcScheme::kSi);
     ASSERT_TRUE(txn.Insert(t, pk, "k", "v", nullptr).ok());
@@ -43,10 +49,127 @@ TEST(EngineStatsTest, CountersMoveTheRightWay) {
     ASSERT_FALSE(reader.Commit().ok());  // validation fails post-reservation
   }
   db->log().WaitForDurable(db->log().CurrentOffset());
-  const DatabaseStats after = db->GetStats();
-  EXPECT_GT(after.log_current_offset, before.log_current_offset);
-  EXPECT_GE(after.log_durable_offset, after.log_current_offset);
-  EXPECT_GE(after.log_skip_blocks, 1u);
+  const uint64_t offset_after = db->log().CurrentOffset();
+  EXPECT_GT(offset_after, offset_before);
+  EXPECT_GE(db->log().DurableOffset(), offset_after);
+  EXPECT_GE(db->SnapshotMetrics().counter(metrics::Ctr::kLogSkipBlocks), 1u);
+}
+
+// The EngineConfig environment overrides (engine/database.cpp kEnvOverrides):
+// every accepted spelling of every variable makes exactly its documented
+// change — checked from two opposite base configs, so a value that should
+// leave a field "as configured" cannot pass by coincidence — and a value no
+// row accepts aborts construction with a message naming the variable.
+TEST(EnvOverrideTest, AcceptedValuesApplyAndUnknownValuesDie) {
+  constexpr const char* kVars[] = {"ERMIA_VERSION_ALLOCATOR", "ERMIA_TRACE",
+                                   "ERMIA_SSN_READOPT", "ERMIA_LOG_STALL",
+                                   "ERMIA_OVERLOAD"};
+  // Start from a clean environment (the suite may run under one of these,
+  // e.g. ERMIA_VERSION_ALLOCATOR=malloc) and restore it afterwards.
+  std::vector<std::pair<const char*, std::string>> saved;
+  for (const char* var : kVars) {
+    if (const char* v = std::getenv(var)) saved.emplace_back(var, v);
+    ::unsetenv(var);
+  }
+
+  struct Case {
+    const char* var;
+    const char* value;
+    void (*expect)(EngineConfig& c);  // the change the value must make
+  };
+  const Case cases[] = {
+      {"ERMIA_VERSION_ALLOCATOR", "slab",
+       [](EngineConfig& c) { c.version_allocator = VersionAllocMode::kSlab; }},
+      {"ERMIA_VERSION_ALLOCATOR", "malloc",
+       [](EngineConfig& c) {
+         c.version_allocator = VersionAllocMode::kMalloc;
+       }},
+      {"ERMIA_TRACE", "off",
+       [](EngineConfig& c) { c.trace_mode = TraceMode::kOff; }},
+      {"ERMIA_TRACE", "all",
+       [](EngineConfig& c) { c.trace_mode = TraceMode::kAll; }},
+      {"ERMIA_TRACE", "sampled",
+       [](EngineConfig& c) { c.trace_mode = TraceMode::kSampled; }},
+      {"ERMIA_TRACE", "sampled:8",
+       [](EngineConfig& c) {
+         c.trace_mode = TraceMode::kSampled;
+         c.trace_sample_every = 8;
+       }},
+      {"ERMIA_SSN_READOPT", "off",
+       [](EngineConfig& c) { c.ssn_safe_snapshot = c.ssn_read_opt = false; }},
+      {"ERMIA_SSN_READOPT", "0",
+       [](EngineConfig& c) { c.ssn_safe_snapshot = c.ssn_read_opt = false; }},
+      {"ERMIA_SSN_READOPT", "on",
+       [](EngineConfig& c) { c.ssn_safe_snapshot = c.ssn_read_opt = true; }},
+      {"ERMIA_SSN_READOPT", "1",
+       [](EngineConfig& c) { c.ssn_safe_snapshot = c.ssn_read_opt = true; }},
+      {"ERMIA_SSN_READOPT", "both",
+       [](EngineConfig& c) { c.ssn_safe_snapshot = c.ssn_read_opt = true; }},
+      {"ERMIA_SSN_READOPT", "safesnap",
+       [](EngineConfig& c) { c.ssn_safe_snapshot = true; }},
+      {"ERMIA_SSN_READOPT", "readopt",
+       [](EngineConfig& c) { c.ssn_read_opt = true; }},
+      {"ERMIA_LOG_STALL", "on",
+       [](EngineConfig& c) { c.log_degraded_modes = true; }},
+      {"ERMIA_LOG_STALL", "1",
+       [](EngineConfig& c) { c.log_degraded_modes = true; }},
+      {"ERMIA_LOG_STALL", "off",
+       [](EngineConfig& c) { c.log_degraded_modes = false; }},
+      {"ERMIA_LOG_STALL", "0",
+       [](EngineConfig& c) { c.log_degraded_modes = false; }},
+      {"ERMIA_OVERLOAD", "on",
+       [](EngineConfig& c) { c.governor_enabled = true; }},
+      {"ERMIA_OVERLOAD", "1",
+       [](EngineConfig& c) { c.governor_enabled = true; }},
+      {"ERMIA_OVERLOAD", "off",
+       [](EngineConfig& c) { c.governor_enabled = false; }},
+      {"ERMIA_OVERLOAD", "0",
+       [](EngineConfig& c) { c.governor_enabled = false; }},
+  };
+  EngineConfig inverted;  // every overridable field off its default
+  inverted.version_allocator = VersionAllocMode::kMalloc;
+  inverted.trace_mode = TraceMode::kAll;
+  inverted.trace_sample_every = 3;
+  inverted.ssn_safe_snapshot = true;
+  inverted.ssn_read_opt = true;
+  inverted.log_degraded_modes = false;
+  inverted.governor_enabled = true;
+  for (const Case& c : cases) {
+    for (const EngineConfig& base : {EngineConfig{}, inverted}) {
+      SCOPED_TRACE(std::string(c.var) + "=" + c.value);
+      EngineConfig want = base;
+      c.expect(want);
+      ASSERT_EQ(::setenv(c.var, c.value, 1), 0);
+      // Heap-allocated: a Database is several MB (inline TID table).
+      auto db = std::make_unique<Database>(base);
+      const EngineConfig& got = db->config();
+      EXPECT_EQ(got.version_allocator, want.version_allocator);
+      EXPECT_EQ(got.trace_mode, want.trace_mode);
+      EXPECT_EQ(got.trace_sample_every, want.trace_sample_every);
+      EXPECT_EQ(got.ssn_safe_snapshot, want.ssn_safe_snapshot);
+      EXPECT_EQ(got.ssn_read_opt, want.ssn_read_opt);
+      EXPECT_EQ(got.log_degraded_modes, want.log_degraded_modes);
+      EXPECT_EQ(got.governor_enabled, want.governor_enabled);
+      db.reset();
+      ::unsetenv(c.var);
+    }
+  }
+
+  const std::pair<const char*, const char*> unknown[] = {
+      {"ERMIA_VERSION_ALLOCATOR", "mallc"},
+      {"ERMIA_TRACE", "sampled:0"},
+      {"ERMIA_SSN_READOPT", "yes"},
+      {"ERMIA_LOG_STALL", "true"},
+      {"ERMIA_OVERLOAD", "2"},
+  };
+  for (const auto& [var, value] : unknown) {
+    ASSERT_EQ(::setenv(var, value, 1), 0);
+    EXPECT_DEATH(std::make_unique<Database>(EngineConfig{}),
+                 std::string(var) + "=" + value + " is not one of");
+    ::unsetenv(var);
+  }
+
+  for (const auto& [var, value] : saved) ::setenv(var, value.c_str(), 1);
 }
 
 TEST(CheckpointDaemonTest, PeriodicCheckpointsHappen) {
@@ -63,7 +186,8 @@ TEST(CheckpointDaemonTest, PeriodicCheckpointsHappen) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  EXPECT_GE(db->GetStats().checkpoints_taken, 1u);
+  EXPECT_GE(db->SnapshotMetrics().counter(metrics::Ctr::kCheckpointsTaken),
+            1u);
   // And a restart recovers through one of those checkpoints.
   db.ShutDown();
   db.Restart(config);
@@ -250,7 +374,8 @@ TEST(UpdateChurnTest, HeavyChurnKeepsLatestVisibleAndGcTrims) {
   ASSERT_TRUE(txn.Read(t, oid, &v).ok());
   EXPECT_EQ(v.ToString(), "3000");
   EXPECT_TRUE(txn.Commit().ok());
-  EXPECT_GT(db->GetStats().gc_versions_reclaimed, 1000u);
+  EXPECT_GT(db->SnapshotMetrics().counter(metrics::Ctr::kGcVersionsReclaimed),
+            1000u);
 }
 
 TEST(MultiSchemeInterplayTest, SchemesShareOneDatabase) {

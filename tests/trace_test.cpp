@@ -153,28 +153,6 @@ TEST_F(TraceTest, MultiThreadDumpMergesAndSortsByTime) {
   testing::RemoveDir(dir);
 }
 
-TEST_F(TraceTest, EnvOverrideSetsMode) {
-  ASSERT_EQ(::setenv("ERMIA_TRACE", "sampled:8", 1), 0);
-  {
-    testing::TempDb db;
-    EXPECT_EQ(db->config().trace_mode, TraceMode::kSampled);
-    EXPECT_EQ(db->config().trace_sample_every, 8u);
-  }
-  ASSERT_EQ(::setenv("ERMIA_TRACE", "all", 1), 0);
-  {
-    testing::TempDb db;
-    EXPECT_EQ(db->config().trace_mode, TraceMode::kAll);
-  }
-  ASSERT_EQ(::setenv("ERMIA_TRACE", "off", 1), 0);
-  {
-    EngineConfig config;
-    config.trace_mode = TraceMode::kAll;  // env wins over config
-    testing::TempDb db(config);
-    EXPECT_EQ(db->config().trace_mode, TraceMode::kOff);
-  }
-  ::unsetenv("ERMIA_TRACE");
-}
-
 // Engine-level round trip: run traced transactions across all four schemes
 // (plus a forced abort and a checkpoint), dump, decode, and export to Chrome
 // trace JSON — the exact artifact loaded into Perfetto.
