@@ -75,7 +75,7 @@ class HotspotWorkload : public Workload {
 EngineConfig GovernorConfig(bool governed) {
   EngineConfig config;
   config.governor_enabled = governed;
-  config.occ_snapshot_interval_ms = 5;  // the daemon tick drives Tick()
+  config.snapshot_daemon_interval_ms = 5;  // the daemon tick drives Tick()
   return config;
 }
 
@@ -265,8 +265,6 @@ int main(int argc, char** argv) {
                 (unsigned long long)db->watchdog()->trips());
   }
 
-  std::printf("\nnote: 'on' = governor_enabled (ERMIA_OVERLOAD=on); the "
-              "stall timeline needs log_degraded_modes (ERMIA_LOG_STALL, "
-              "default on)\n");
+  std::printf("\nnote: 'on' = governor_enabled (ERMIA_OVERLOAD=on)\n");
   return 0;
 }

@@ -143,7 +143,6 @@ int main() {
       }
       if (!txn.Commit().ok()) return 1;
     }
-    db.RefreshOccSnapshot();
     RunScheme(&db, {items, pk}, scheme);
     db.Close();
   }

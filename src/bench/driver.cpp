@@ -56,9 +56,6 @@ BenchResult RunBench(Database* db, Workload* workload,
   std::vector<std::vector<TxnTypeStats>> per_worker(
       options.threads, std::vector<TxnTypeStats>(ntypes));
 
-  // Make sure OCC's read-only snapshot covers whatever the loader committed.
-  db->RefreshOccSnapshot();
-
   prof::Enable(options.profile);
   // Scope the engine metrics (and the profiling cycle counters they embed)
   // to this run by diffing snapshots around it.

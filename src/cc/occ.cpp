@@ -5,8 +5,9 @@
 //    install CAS doubles as a no-wait write lock;
 //  * the read set is validated after the commit stamp is taken — a committed
 //    overwrite or a concurrent locker aborts the reader (writer-wins);
-//  * declared read-only transactions read a periodically refreshed snapshot
-//    and never abort (Silo's read-only snapshots).
+//  * declared read-only transactions read the snapshot at their begin offset
+//    and never abort (Silo's read-only snapshots; ours is fresher than
+//    Silo's epoch snapshots, which only strengthens the baseline).
 #include "common/profiling.h"
 #include "engine/database.h"
 #include "trace/trace.h"

@@ -39,12 +39,11 @@ enum class Mode : uint8_t {
   // Write a prefix and report failure to the caller, then disarm: a
   // survivable short write (ENOSPC-shaped). Callers degrade gracefully —
   // checkpoints return an error, the log flusher enters the stall protocol
-  // (kStalled; panic only with log_degraded_modes off).
+  // (kStalled).
   kShortWrite,
   // Fail the triggering fdatasync/fsync with EIO, then disarm. The log
-  // flusher poisons itself (sticky read-only; panic with log_degraded_modes
-  // off): a "successful" commit after a failed fsync would acknowledge data
-  // that is not durable.
+  // flusher poisons itself (sticky read-only): a "successful" commit after a
+  // failed fsync would acknowledge data that is not durable.
   kFsyncError,
   // Kill the process with SIGKILL before performing the triggering op.
   kCrash,

@@ -44,12 +44,11 @@ enum class TraceMode : uint32_t { kOff = 0, kSampled = 1, kAll = 2 };
 // and A/B ablation.
 enum class VersionAllocMode : uint32_t { kSlab = 0, kMalloc = 1 };
 
-// Five fields below can be overridden per run by an environment variable,
+// Four fields below can be overridden per run by an environment variable,
 // applied once at Database construction from the single table kEnvOverrides
 // in engine/database.cpp: ERMIA_VERSION_ALLOCATOR, ERMIA_TRACE,
-// ERMIA_SSN_READOPT, ERMIA_LOG_STALL and ERMIA_OVERLOAD. A value the table
-// does not accept aborts the process with a message listing the accepted
-// values.
+// ERMIA_SSN_READOPT and ERMIA_OVERLOAD. A value the table does not accept
+// aborts the process with a message listing the accepted values.
 struct EngineConfig {
   // Directory for log segment files and checkpoints. Empty = fully in-memory
   // logging (log records still flow through the central buffer but are
@@ -100,9 +99,10 @@ struct EngineConfig {
   bool enable_gc = true;
   uint64_t gc_interval_ms = 40;
 
-  // OCC read-only snapshot refresh period (Silo's copy-on-write snapshots are
-  // modeled as a periodically advanced snapshot LSN).
-  uint64_t occ_snapshot_interval_ms = 20;
+  // Snapshot daemon tick period: paces the safe-snapshot LSN state machine
+  // (cc/safe_snapshot.h), the TID and RCU epoch advances, and the overload
+  // governor's control tick.
+  uint64_t snapshot_daemon_interval_ms = 20;
 
   // Recovery parallelism: number of replay worker threads for checkpoint
   // loading and log-tail replay. Records are partitioned by hash(table, OID)
@@ -165,17 +165,13 @@ struct EngineConfig {
 
   // ---- graceful degradation (docs/INTERNALS.md "Degraded modes") ----------
 
-  // Log-stall protocol: steady-state flush failures degrade the engine
-  // instead of crashing it. ENOSPC/EDQUOT on a segment write parks the
+  // Log-stall protocol (always on): steady-state flush failures degrade the
+  // engine instead of crashing it. ENOSPC/EDQUOT on a segment write parks the
   // flusher in a stalled state that retries with bounded backoff while new
   // write transactions are rejected with Status::LogUnavailable (reads keep
   // running); any other write error or a failed fdatasync poisons the log:
   // a sticky read-only mode that never acknowledges durability past the last
-  // known-good offset. When false, the legacy fail-stop ERMIA_CHECK crash is
-  // preserved. Overridden by ERMIA_LOG_STALL=on|1|off|0.
-  bool log_degraded_modes = true;
-
-  // Stalled-flusher retry pacing: exponential backoff between flush retries,
+  // known-good offset. The stalled flusher retries with exponential backoff
   // from initial to max.
   uint64_t log_stall_retry_initial_ms = 10;
   uint64_t log_stall_retry_max_ms = 1000;

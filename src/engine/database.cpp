@@ -62,10 +62,6 @@ constexpr EnvOverride kEnvOverrides[] = {
      [](EngineConfig& c, uint32_t) { c.ssn_safe_snapshot = true; }},
     {"ERMIA_SSN_READOPT", "readopt",
      [](EngineConfig& c, uint32_t) { c.ssn_read_opt = true; }},
-    {"ERMIA_LOG_STALL", "on|1",
-     [](EngineConfig& c, uint32_t) { c.log_degraded_modes = true; }},
-    {"ERMIA_LOG_STALL", "off|0",
-     [](EngineConfig& c, uint32_t) { c.log_degraded_modes = false; }},
     {"ERMIA_OVERLOAD", "on|1",
      [](EngineConfig& c, uint32_t) { c.governor_enabled = true; }},
     {"ERMIA_OVERLOAD", "off|0",
@@ -147,7 +143,8 @@ Database::Database(EngineConfig config)
   gc_ = std::make_unique<GarbageCollector>(
       &gc_epoch_,
       [this] {
-        uint64_t oldest = tids_.OldestActiveBegin(log_.CurrentOffset());
+        // seq_cst tail load before the scan (TidManager::OldestActiveBegin).
+        uint64_t oldest = tids_.OldestActiveBegin(log_.SeqCstTailBound());
         if (config_.ssn_safe_snapshot) {
           // Safe-snapshot readers adopt the published offset as their begin;
           // pin the trim horizon to the previous tick's value so a reader
@@ -190,14 +187,12 @@ Status Database::Open() {
     trace::InstallCrashHandler(config_.trace_crash_dump_path);
   }
   ERMIA_RETURN_NOT_OK(log_.Open());
-  occ_snapshot_.store(log_.CurrentOffset(), std::memory_order_release);
   safesnap_.Reset(log_.CurrentOffset());
   if (config_.enable_gc) gc_->Start(config_.gc_interval_ms);
   stop_daemons_.store(false);
   snapshot_daemon_ = std::thread([this] {
     uint64_t last_safe = safesnap_.published();
     while (!stop_daemons_.load(std::memory_order_acquire)) {
-      RefreshOccSnapshot();
       // Safe-snapshot LSN state machine (cc/safe_snapshot.h). Always ticked
       // so the gauge tracks reality regardless of the feature flags; the
       // tail must be loaded before the call (it is sequenced before the
@@ -227,7 +222,7 @@ Status Database::Open() {
         governor_->Tick(metrics_.Sum(metrics::Ctr::kTxnCommits), aborts);
       }
       std::this_thread::sleep_for(
-          std::chrono::milliseconds(config_.occ_snapshot_interval_ms));
+          std::chrono::milliseconds(config_.snapshot_daemon_interval_ms));
     }
     ThreadRegistry::Deregister();
   });

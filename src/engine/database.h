@@ -101,14 +101,10 @@ class Database {
   EpochManager& tid_epoch() { return tid_epoch_; }
   const EngineConfig& config() const { return config_; }
 
-  // Read-only snapshot offset for OCC (Silo's snapshot mechanism): refreshed
-  // by a daemon every occ_snapshot_interval_ms.
-  uint64_t occ_snapshot_offset() const {
-    return occ_snapshot_.load(std::memory_order_acquire);
-  }
-  void RefreshOccSnapshot() {
-    occ_snapshot_.store(log_.CurrentOffset(), std::memory_order_release);
-  }
+  // No-op: read-only OCC transactions begin at the current log tail, so their
+  // snapshots are always current and there is nothing to refresh. Kept only
+  // because perfbench/, frozen outside benchmark changes, still calls it.
+  void RefreshOccSnapshot() {}
 
   // Safe-snapshot LSN maintenance for the SSN read-mostly optimizations
   // (cc/safe_snapshot.h). Always maintained by the snapshot daemon — the
@@ -176,7 +172,6 @@ class Database {
   std::thread snapshot_daemon_;
   std::thread checkpoint_daemon_;
   std::atomic<bool> stop_daemons_{true};
-  std::atomic<uint64_t> occ_snapshot_{kLogStartOffset};
   bool open_ = false;
   // True if this Database enabled the (process-global) flight recorder in
   // Open(); only the owner resets the mode on Close().

@@ -618,9 +618,7 @@ Status Database::RecoverImpl() {
             }
           }
         });
-    ERMIA_RETURN_NOT_OK(scan_status);
-    RefreshOccSnapshot();
-    return Status::OK();
+    return scan_status;
   }
 
   ReplayPool<TailOp> pool(workers, &metrics_, [this](TailOp& op) -> Status {
@@ -713,9 +711,7 @@ Status Database::RecoverImpl() {
       });
   Status pool_status = pool.Finish();  // join workers even on a scan error
   ERMIA_RETURN_NOT_OK(scan_status);
-  ERMIA_RETURN_NOT_OK(pool_status);
-  RefreshOccSnapshot();
-  return Status::OK();
+  return pool_status;
 }
 
 Status Database::Recover() {

@@ -413,15 +413,13 @@ void LogManager::FlushOnce() {
       buf.resize(n);
       ring_.Read(r.begin, buf.data(), n);
       // The range was completed, so committers may already be waiting on it.
-      // Two answers cannot acknowledge a commit whose bytes never landed:
-      // panicking (legacy fail-stop, log_degraded_modes=false) or refusing
-      // to advance durable_offset_ while degrading (stall on out-of-space,
+      // Never acknowledge a commit whose bytes did not land: refuse to
+      // advance durable_offset_ and degrade instead (stall on out-of-space,
       // which is transient; poison on anything else).
       if (ERMIA_UNLIKELY(!fault::PwriteAll(
               seg->fd, buf.data(), n,
               static_cast<off_t>(seg->FileOffset(r.begin))))) {
         const int err = errno;
-        ERMIA_CHECK(config_.log_degraded_modes);
         if (err == ENOSPC || err == EDQUOT) {
           EnterStall(err);
         } else {
@@ -437,11 +435,10 @@ void LogManager::FlushOnce() {
     // fsync failure is never survivable as a retry (fsync-gate semantics):
     // after a failed fdatasync the page cache state is unknowable, so
     // advancing durable_offset_ — and thereby acking commits — would be a
-    // lie, now or on any later attempt. Poison (or panic in legacy mode).
+    // lie, now or on any later attempt. Poison.
     for (LogSegment* seg : touched) {
       if (ERMIA_UNLIKELY(fault::Fdatasync(seg->fd) != 0)) {
         const int err = errno;
-        ERMIA_CHECK(config_.log_degraded_modes);
         Poison(err);
         return;
       }

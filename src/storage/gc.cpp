@@ -46,6 +46,7 @@ void GarbageCollector::NotifyUpdate(Table* table, Oid oid) {
 }
 
 size_t GarbageCollector::RunOnce() {
+  std::lock_guard<std::mutex> pass(pass_mu_);
   const auto t0 = std::chrono::steady_clock::now();
   // Pin the epoch for the whole pass: the chain walk reads versions that a
   // concurrent worker may recycle once the limbo boundary passes their

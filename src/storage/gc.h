@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -43,7 +44,10 @@ class GarbageCollector {
   void NotifyUpdate(Table* table, Oid oid);
 
   // One collection pass; returns versions reclaimed (tests call this
-  // directly; the daemon calls it on its interval).
+  // directly; the daemon calls it on its interval). Passes are serialized:
+  // two concurrent passes over one record with different horizons could
+  // each unlink the same tail of its chain (the older-horizon pass cutting
+  // inside the segment the other already unlinked) and free it twice.
   size_t RunOnce();
 
  private:
@@ -66,6 +70,7 @@ class GarbageCollector {
   };
   Shard shards_[kMaxThreads];
 
+  std::mutex pass_mu_;
   std::thread daemon_;
   std::atomic<bool> stop_{true};
 };

@@ -17,7 +17,7 @@ TidManager::TidManager() {
   }
 }
 
-TxnContext* TidManager::Begin(uint64_t begin_offset, uint64_t* tid_out) {
+TxnContext* TidManager::Begin(uint64_t* tid_out) {
   Backoff backoff;
   for (;;) {
     const uint64_t pos = clock_.fetch_add(1, std::memory_order_relaxed);
@@ -28,16 +28,22 @@ TxnContext* TidManager::Begin(uint64_t begin_offset, uint64_t* tid_out) {
       backoff.Pause();
       continue;
     }
-    // Claim order matters for lock-free inquiries (see Inquire):
-    // 1. state -> kInit: old-generation inquiries still see the old outcome
-    //    until the TID changes; new-generation inquiries retry on kInit.
-    ctx.StoreState(TxnState::kInit);
+    // Claim order matters for lock-free inquiries (see Inquire) and for the
+    // GC horizon scan (see OldestActiveBegin):
+    // 0. begin -> 0 (Inquire never reads it): a scan that sees the claim
+    //    holds its horizon at 0 until the caller stores its begin.
+    ctx.begin.store(0, std::memory_order_relaxed);
+    // 1. state -> kInit, seq_cst so it is ordered before the caller's begin
+    //    load and releases step 0. Old-generation inquiries still see the
+    //    old outcome until the TID changes; new-generation inquiries retry
+    //    on kInit.
+    ctx.state.store(static_cast<uint32_t>(TxnState::kInit),
+                    std::memory_order_seq_cst);
     // 2. Publish the new TID. From here, old-generation inquiries get kStale.
     const uint64_t new_tid =
         ctx.tid.load(std::memory_order_relaxed) + kSlots;
     ctx.tid.store(new_tid, std::memory_order_release);
     // 3. Initialize per-transaction fields.
-    ctx.begin.store(begin_offset, std::memory_order_relaxed);
     ctx.cstamp.store(0, std::memory_order_relaxed);
     ctx.pstamp.store(0, std::memory_order_relaxed);
     ctx.sstamp.store(kInfinityStamp, std::memory_order_relaxed);
@@ -120,8 +126,11 @@ uint64_t TidManager::OldestActiveBegin(uint64_t fallback) const {
   uint64_t oldest = fallback;
   for (uint32_t i = 0; i < kSlots; ++i) {
     const TxnContext& ctx = table_[i];
-    if (ctx.released.load(std::memory_order_acquire)) continue;
-    const TxnState s = ctx.LoadState();
+    // The state alone decides (a released slot is kCommitted or kAborted).
+    // Missing a claim's seq_cst kInit store orders this load, and so the
+    // caller's tail load, before the claimer's begin load.
+    const TxnState s = static_cast<TxnState>(
+        ctx.state.load(std::memory_order_seq_cst));
     if (s == TxnState::kActive || s == TxnState::kCommitting ||
         s == TxnState::kInit) {
       oldest = std::min(oldest, ctx.begin.load(std::memory_order_acquire));

@@ -62,10 +62,11 @@ class TidManager {
   TidManager();
   ERMIA_NO_COPY(TidManager);
 
-  // Claims a slot and initializes a context for a new transaction. Spins only
-  // if all 64K slots host in-flight transactions (far beyond any realistic
-  // concurrency level).
-  TxnContext* Begin(uint64_t begin_offset, uint64_t* tid_out);
+  // Claims a slot and initializes a context for a new transaction, with
+  // begin = 0 until the caller stores its begin offset (which it must load
+  // after this call; see OldestActiveBegin). Spins only if all 64K slots
+  // host in-flight transactions (far beyond any realistic concurrency level).
+  TxnContext* Begin(uint64_t* tid_out);
 
   // Returns the slot for reuse. Caller must have finished post-commit (every
   // version it stamped with its TID now carries a commit LSN).
@@ -90,7 +91,10 @@ class TidManager {
   }
 
   // Smallest begin timestamp among in-flight transactions, or `fallback` if
-  // none. Drives the garbage collector's reclamation boundary.
+  // none. Drives the garbage collector's reclamation boundary; the caller
+  // passes the log tail, loaded with seq_cst before this call, so no
+  // transaction that claims its slot after the scan passes it can begin
+  // below the result.
   uint64_t OldestActiveBegin(uint64_t fallback) const;
 
   // SSN committers announce themselves here for the read-opt compensation

@@ -50,23 +50,25 @@ Transaction::Transaction(Database* db, CcScheme scheme, bool read_only)
     db_->gc_epoch().Enter();
     in_epoch_ = true;
   }
-  // OCC read-only transactions run against the read-only snapshot (Silo's
-  // copy-on-write snapshots, modeled as a lagging snapshot LSN); declared
-  // read-only SSN transactions under ssn_safe_snapshot begin at the safe
-  // LSN (every stamp below it is final and no backward rw edge crosses it,
-  // so they serialize there with zero tracking — cc/safe_snapshot.h);
-  // everyone else snapshots the current log tail.
-  if (scheme == CcScheme::kOcc && read_only) {
-    begin_ = db_->occ_snapshot_offset();
-  } else if (scheme == CcScheme::kSiSsn && read_only &&
-             db_->config().ssn_safe_snapshot) {
+  // Claim the TID slot (begin = 0 holds the GC horizon at 0) before loading
+  // the begin offset, so a GC pass that misses the claim loaded a tail no
+  // newer than our begin (TidManager::OldestActiveBegin).
+  ctx_ = db_->tids().Begin(&tid_);
+  // Declared read-only SSN transactions under ssn_safe_snapshot begin at the
+  // safe LSN (every stamp below it is final and no backward rw edge crosses
+  // it, so they serialize there with zero tracking — cc/safe_snapshot.h).
+  // Every other transaction, read-only OCC included, begins at the log tail:
+  // OccCommit installs its writes before its commit stamp and validates its
+  // reads after, so commit-stamp order is a serial order.
+  if (scheme == CcScheme::kSiSsn && read_only &&
+      db_->config().ssn_safe_snapshot) {
     ssn_safesnap_ = true;
     begin_ = db_->safe_snapshot_offset();
     db_->metrics().Inc(metrics::Ctr::kSsnSafesnapTxns);
   } else {
-    begin_ = db_->log().CurrentOffset();
+    begin_ = db_->log().SeqCstTailBound();
   }
-  ctx_ = db_->tids().Begin(begin_, &tid_);
+  ctx_->begin.store(begin_, std::memory_order_release);
   if (ERMIA_UNLIKELY(trace::SampleTxn())) {
     traced_ = true;
     trace_begin_tsc_ = prof::Cycles();

@@ -13,7 +13,7 @@
 //   kOcc   — Silo-style lightweight OCC: writes are buffered as intents,
 //            installed at commit (the CAS acts as the write lock), and the
 //            read set is validated after the commit stamp is taken. Read-only
-//            transactions run against a periodically refreshed snapshot.
+//            transactions read the snapshot at their begin offset.
 #ifndef ERMIA_TXN_TRANSACTION_H_
 #define ERMIA_TXN_TRANSACTION_H_
 
@@ -49,8 +49,8 @@ const char* CcSchemeName(CcScheme scheme);
 class Transaction {
  public:
   // Starts a transaction immediately. `read_only` is a declaration: such
-  // transactions may not write; under OCC they read from the read-only
-  // snapshot (Silo's snapshot mechanism) and never abort.
+  // transactions may not write; under OCC they read the snapshot at their
+  // begin offset (Silo's read-only snapshots) and never abort.
   Transaction(Database* db, CcScheme scheme, bool read_only = false);
   ~Transaction();
   ERMIA_NO_COPY(Transaction);

@@ -96,8 +96,8 @@ TEST_P(ConcurrencyTest, BankSumInvariant) {
       ThreadRegistry::Deregister();
     });
   }
-  // An auditor continuously checks snapshot consistency (SI/SSN give a
-  // consistent snapshot; OCC read-only transactions read the snapshot LSN).
+  // An auditor continuously checks snapshot consistency (every read-only
+  // transaction, OCC's included, reads the snapshot at its begin offset).
   std::thread auditor([&] {
     while (!stop.load()) {
       Transaction txn(db(), scheme(), /*read_only=*/true);
@@ -226,10 +226,8 @@ TEST_P(ConcurrencyTest, GcDoesNotDisturbReaders) {
     }
     ASSERT_TRUE(txn.Commit().ok());
   }
-  // OCC read-only transactions read the snapshot LSN; make sure it already
-  // covers the load (stale-but-consistent is correct OCC behavior, but the
-  // assertion below wants all records visible).
-  db()->RefreshOccSnapshot();
+  // Every reader begins after the load, so it must see all records, even
+  // while the GC trims the churned chains below the oldest begin.
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> bad_counts{0};
   std::thread reader([&] {

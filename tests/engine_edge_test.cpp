@@ -62,8 +62,7 @@ TEST(EngineStatsTest, CountersMoveTheRightWay) {
 // row accepts aborts construction with a message naming the variable.
 TEST(EnvOverrideTest, AcceptedValuesApplyAndUnknownValuesDie) {
   constexpr const char* kVars[] = {"ERMIA_VERSION_ALLOCATOR", "ERMIA_TRACE",
-                                   "ERMIA_SSN_READOPT", "ERMIA_LOG_STALL",
-                                   "ERMIA_OVERLOAD"};
+                                   "ERMIA_SSN_READOPT", "ERMIA_OVERLOAD"};
   // Start from a clean environment (the suite may run under one of these,
   // e.g. ERMIA_VERSION_ALLOCATOR=malloc) and restore it afterwards.
   std::vector<std::pair<const char*, std::string>> saved;
@@ -109,14 +108,6 @@ TEST(EnvOverrideTest, AcceptedValuesApplyAndUnknownValuesDie) {
        [](EngineConfig& c) { c.ssn_safe_snapshot = true; }},
       {"ERMIA_SSN_READOPT", "readopt",
        [](EngineConfig& c) { c.ssn_read_opt = true; }},
-      {"ERMIA_LOG_STALL", "on",
-       [](EngineConfig& c) { c.log_degraded_modes = true; }},
-      {"ERMIA_LOG_STALL", "1",
-       [](EngineConfig& c) { c.log_degraded_modes = true; }},
-      {"ERMIA_LOG_STALL", "off",
-       [](EngineConfig& c) { c.log_degraded_modes = false; }},
-      {"ERMIA_LOG_STALL", "0",
-       [](EngineConfig& c) { c.log_degraded_modes = false; }},
       {"ERMIA_OVERLOAD", "on",
        [](EngineConfig& c) { c.governor_enabled = true; }},
       {"ERMIA_OVERLOAD", "1",
@@ -132,7 +123,6 @@ TEST(EnvOverrideTest, AcceptedValuesApplyAndUnknownValuesDie) {
   inverted.trace_sample_every = 3;
   inverted.ssn_safe_snapshot = true;
   inverted.ssn_read_opt = true;
-  inverted.log_degraded_modes = false;
   inverted.governor_enabled = true;
   for (const Case& c : cases) {
     for (const EngineConfig& base : {EngineConfig{}, inverted}) {
@@ -148,7 +138,6 @@ TEST(EnvOverrideTest, AcceptedValuesApplyAndUnknownValuesDie) {
       EXPECT_EQ(got.trace_sample_every, want.trace_sample_every);
       EXPECT_EQ(got.ssn_safe_snapshot, want.ssn_safe_snapshot);
       EXPECT_EQ(got.ssn_read_opt, want.ssn_read_opt);
-      EXPECT_EQ(got.log_degraded_modes, want.log_degraded_modes);
       EXPECT_EQ(got.governor_enabled, want.governor_enabled);
       db.reset();
       ::unsetenv(c.var);
@@ -159,7 +148,6 @@ TEST(EnvOverrideTest, AcceptedValuesApplyAndUnknownValuesDie) {
       {"ERMIA_VERSION_ALLOCATOR", "mallc"},
       {"ERMIA_TRACE", "sampled:0"},
       {"ERMIA_SSN_READOPT", "yes"},
-      {"ERMIA_LOG_STALL", "true"},
       {"ERMIA_OVERLOAD", "2"},
   };
   for (const auto& [var, value] : unknown) {
@@ -304,32 +292,6 @@ TEST(CatalogTest, ManyTablesAndIndexes) {
     EXPECT_EQ(v.ToString(), std::to_string(i));
   }
   EXPECT_TRUE(txn.Commit().ok());
-}
-
-TEST(SnapshotDaemonTest, OccSnapshotAdvancesOverTime) {
-  EngineConfig config;
-  config.occ_snapshot_interval_ms = 10;
-  testing::TempDb db(config);
-  Table* t = db->CreateTable("t");
-  Index* pk = db->CreateIndex(t, "t_pk");
-  ASSERT_TRUE(db->Open().ok());
-  const uint64_t s0 = db->occ_snapshot_offset();
-  {
-    Transaction txn(db.get(), CcScheme::kSi);
-    ASSERT_TRUE(txn.Insert(t, pk, "k", "v", nullptr).ok());
-    ASSERT_TRUE(txn.Commit().ok());
-  }
-  // The daemon refreshes every 10ms; wait for it to observe the commit.
-  for (int i = 0; i < 100 && db->occ_snapshot_offset() <= s0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GT(db->occ_snapshot_offset(), s0);
-  // A read-only OCC transaction started now must see the insert without an
-  // explicit RefreshOccSnapshot().
-  Transaction ro(db.get(), CcScheme::kOcc, /*read_only=*/true);
-  Slice v;
-  EXPECT_TRUE(ro.Get(pk, "k", &v).ok());
-  EXPECT_TRUE(ro.Commit().ok());
 }
 
 TEST(TransactionLifetimeTest, DestructorAborts) {

@@ -146,7 +146,7 @@ class GovernorStormTest : public ::testing::TestWithParam<CcScheme> {};
 
 TEST_P(GovernorStormTest, HotspotStormCompletesUnderGovernor) {
   EngineConfig config = GovConfig();
-  config.occ_snapshot_interval_ms = 5;  // the daemon tick drives Tick()
+  config.snapshot_daemon_interval_ms = 5;  // the daemon tick drives Tick()
   testing::TempDb db(config);
   Table* table = db->CreateTable("kv");
   Index* pk = db->CreateIndex(table, "kv_pk");

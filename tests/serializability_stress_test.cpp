@@ -110,7 +110,7 @@ class SerializabilityStressTest : public ::testing::TestWithParam<CcScheme> {
 
   // Read-mostly mix: half the transactions are declared read-only (under SSN
   // with ssn_safe_snapshot these take the zero-tracking safe-snapshot path;
-  // under OCC the Silo snapshot), the rest read-write with a low write
+  // under OCC the never-aborting snapshot at the begin offset), the rest read-write with a low write
   // probability. Workers pump the safe-snapshot protocol as they go, so the
   // safe LSN sweeps across the versions being read and the old-version
   // exemption boundary is exercised, not just the all-young steady state.

@@ -20,9 +20,10 @@ TEST(TidManagerTest, BeginAssignsUniqueTids) {
   std::vector<TxnContext*> ctxs;
   for (int i = 0; i < 100; ++i) {
     uint64_t tid = 0;
-    TxnContext* ctx = mgr.Begin(1000 + i, &tid);
+    TxnContext* ctx = mgr.Begin(&tid);
     EXPECT_TRUE(tids.insert(tid).second) << "duplicate TID";
-    EXPECT_EQ(ctx->begin.load(), 1000u + i);
+    // The claim holds the GC horizon at 0 until the owner stores its begin.
+    EXPECT_EQ(ctx->begin.load(), 0u);
     EXPECT_EQ(ctx->LoadState(), TxnState::kActive);
     ctxs.push_back(ctx);
   }
@@ -35,7 +36,7 @@ TEST(TidManagerTest, BeginAssignsUniqueTids) {
 TEST(TidManagerTest, InquireInFlightThenCommitted) {
   TidManager mgr;
   uint64_t tid = 0;
-  TxnContext* ctx = mgr.Begin(5, &tid);
+  TxnContext* ctx = mgr.Begin(&tid);
   uint64_t cstamp = 0;
   EXPECT_EQ(mgr.Inquire(tid, &cstamp), TidManager::Outcome::kInFlight);
 
@@ -53,7 +54,7 @@ TEST(TidManagerTest, InquireInFlightThenCommitted) {
 TEST(TidManagerTest, InquireAborted) {
   TidManager mgr;
   uint64_t tid = 0;
-  TxnContext* ctx = mgr.Begin(5, &tid);
+  TxnContext* ctx = mgr.Begin(&tid);
   ctx->StoreState(TxnState::kAborted);
   EXPECT_EQ(mgr.Inquire(tid, nullptr), TidManager::Outcome::kAborted);
   mgr.Release(ctx);
@@ -63,7 +64,7 @@ TEST(TidManagerTest, StaleGenerationDetected) {
   TidManager mgr;
   // Claim and release enough transactions that some slot is reused.
   uint64_t first_tid = 0;
-  TxnContext* ctx = mgr.Begin(1, &first_tid);
+  TxnContext* ctx = mgr.Begin(&first_tid);
   ctx->StoreState(TxnState::kCommitted);
   mgr.Release(ctx);
   // Drive the clock all the way around the table so the slot recycles.
@@ -71,7 +72,7 @@ TEST(TidManagerTest, StaleGenerationDetected) {
   TxnContext* reused = nullptr;
   for (uint32_t i = 0; i < TidManager::kSlots + 1; ++i) {
     uint64_t tid = 0;
-    TxnContext* c = mgr.Begin(2, &tid);
+    TxnContext* c = mgr.Begin(&tid);
     if (c == ctx) {
       reused = c;
       reused_tid = tid;
@@ -93,8 +94,11 @@ TEST(TidManagerTest, OldestActiveBegin) {
   TidManager mgr;
   EXPECT_EQ(mgr.OldestActiveBegin(999), 999u);
   uint64_t t1 = 0, t2 = 0;
-  TxnContext* a = mgr.Begin(100, &t1);
-  TxnContext* b = mgr.Begin(50, &t2);
+  TxnContext* a = mgr.Begin(&t1);
+  TxnContext* b = mgr.Begin(&t2);
+  EXPECT_EQ(mgr.OldestActiveBegin(999), 0u);  // claimed, begin not stored yet
+  a->begin.store(100);
+  b->begin.store(50);
   EXPECT_EQ(mgr.OldestActiveBegin(999), 50u);
   b->StoreState(TxnState::kAborted);
   mgr.Release(b);
@@ -118,7 +122,7 @@ TEST(TidManagerTest, ConcurrentInquiryNeverLies) {
     writers.emplace_back([&] {
       while (!stop.load()) {
         uint64_t tid = 0;
-        TxnContext* ctx = mgr.Begin(1, &tid);
+        TxnContext* ctx = mgr.Begin(&tid);
         ctx->cstamp.store(tid * 2 + 1);
         ctx->StoreState(TxnState::kCommitting);
         ctx->StoreState(TxnState::kCommitted);

@@ -23,7 +23,6 @@ class TpccTest : public ::testing::TestWithParam<CcScheme> {
     cfg_.hybrid = true;
     tables_ = CreateTpccSchema(db_->get(), /*hybrid=*/true);
     ASSERT_TRUE(LoadTpcc(db_->get(), tables_, cfg_).ok());
-    (*db_)->RefreshOccSnapshot();  // read-only OCC txns must see the load
   }
 
   TpccCtx MakeCtx(FastRandom* rng) {

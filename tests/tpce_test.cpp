@@ -22,7 +22,6 @@ class TpceTest : public ::testing::TestWithParam<CcScheme> {
     tables_ = CreateTpceSchema(db_->get());
     ASSERT_TRUE(LoadTpce(db_->get(), tables_, cfg_, &loaded_trades_).ok());
     next_trade_id_.store(loaded_trades_ + 1);
-    (*db_)->RefreshOccSnapshot();  // read-only OCC txns must see the load
   }
 
   TpceCtx MakeCtx(FastRandom* rng) {

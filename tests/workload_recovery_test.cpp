@@ -25,7 +25,6 @@ class WorkloadRecoveryTest : public ::testing::TestWithParam<bool> {
     tables_ = CreateTpccSchema(db_->get(), /*hybrid=*/false);
     ASSERT_TRUE((*db_)->Open().ok());
     ASSERT_TRUE(LoadTpcc(db_->get(), tables_, cfg_).ok());
-    (*db_)->RefreshOccSnapshot();
   }
 
   void CrashAndRecover() {

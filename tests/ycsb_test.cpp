@@ -20,7 +20,6 @@ class YcsbTest : public ::testing::TestWithParam<CcScheme> {
     cfg_.ops_per_txn = 8;
     workload_ = std::make_unique<YcsbWorkload>(cfg_);
     ASSERT_TRUE(workload_->Load(db_->get()).ok());
-    (*db_)->RefreshOccSnapshot();
   }
 
   size_t TableCount() {
