@@ -63,10 +63,15 @@ Status Transaction::SiRead(Table* table, Oid oid, Slice* value) {
     // our commit — no reader-bitmap advertisement needed. Safe-snapshot
     // transactions skip even that (zero tracking; they serialize at the
     // snapshot point).
+    // A version whose readers bitmap already carries our bit is tracked by
+    // an earlier read of this transaction; only we set or clear that bit, so
+    // a relaxed load sees it.
     if (db_->config().ssn_read_opt && !IsTidStamp(clsn) &&
         Lsn(clsn).offset() < db_->safe_snapshot_offset()) {
       SsnOnReadExempt(v);
-    } else {
+    } else if (ssn_reader_slot_ == SsnReaderRegistry::kNoSlot ||
+               !(v->readers.load(std::memory_order_relaxed) &
+                 (1ull << ssn_reader_slot_))) {
       read_set_.push_back({v, table->array().Slot(oid)});
       SsnOnRead(v);
     }

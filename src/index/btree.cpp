@@ -11,12 +11,20 @@ namespace ermia {
 // version word: even = unlocked, odd = locked. Writers CAS v -> v+1 to lock
 // and store v+2 to unlock, so any modification advances the stable version by
 // 2 and invalidates concurrent optimistic readers.
+//
+// heads[i] caches keys[i]'s first 8 bytes as a big-endian integer, zero-padded
+// (a Masstree key slice). Searches compare heads as integers and fall back to
+// the full key compare only on a tie, so a binary search touches the 256-byte
+// head array instead of a different 66-byte key slot per probe. Heads are
+// written wherever keys[] is and, like keys[], read optimistically and
+// checked by the version word.
 // ---------------------------------------------------------------------------
 
 struct BTree::Node {
   std::atomic<uint64_t> version{2};
   bool is_leaf = false;
   int count = 0;
+  uint64_t heads[kFanout];
   Varstr keys[kFanout];
 };
 
@@ -30,6 +38,25 @@ struct BTree::LeafNode : BTree::Node {
 };
 
 namespace {
+
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "KeyHead byte-swaps a little-endian load");
+
+// The key's first 8 bytes as a big-endian integer, zero-padded. Integer order
+// of two heads equals memcmp order of the keys whenever the heads differ; a
+// tie (e.g. "ab" vs "ab\0") says nothing and needs the full compare.
+uint64_t KeyHead(const Slice& key) {
+  uint64_t h = 0;
+  std::memcpy(&h, key.data(), std::min<size_t>(key.size(), sizeof h));
+  return __builtin_bswap64(h);
+}
+
+// Three-way compare of `key` (whose head is `head`) against node slot i.
+int CompareSlot(const uint64_t* heads, const Varstr* keys, int i,
+                const Slice& key, uint64_t head) {
+  if (head != heads[i]) return head < heads[i] ? -1 : 1;
+  return key.compare(keys[i].slice());
+}
 
 uint64_t AwaitStable(const std::atomic<uint64_t>& version) {
   Backoff backoff;
@@ -66,10 +93,11 @@ void BTree::Unlock(Node* node) {
 // First child index whose subtree may contain `key`: smallest i with
 // key < keys[i], else count.
 int BTree::ChildIndex(const Node* inner, const Slice& key) {
+  const uint64_t head = KeyHead(key);
   int lo = 0, hi = inner->count;
   while (lo < hi) {
     const int mid = (lo + hi) / 2;
-    if (key.compare(inner->keys[mid].slice()) < 0) {
+    if (CompareSlot(inner->heads, inner->keys, mid, key, head) < 0) {
       hi = mid;
     } else {
       lo = mid + 1;
@@ -80,10 +108,11 @@ int BTree::ChildIndex(const Node* inner, const Slice& key) {
 
 // First position with keys[pos] >= key.
 int BTree::LowerBoundPos(const Node* leaf, const Slice& key) {
+  const uint64_t head = KeyHead(key);
   int lo = 0, hi = leaf->count;
   while (lo < hi) {
     const int mid = (lo + hi) / 2;
-    if (leaf->keys[mid].slice().compare(key) < 0) {
+    if (CompareSlot(leaf->heads, leaf->keys, mid, key, head) > 0) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -129,12 +158,14 @@ void BTree::SplitChild(InnerNode* parent, int child_idx, Node* child) {
   ERMIA_DCHECK(child->count == kFanout);
   ERMIA_DCHECK(parent->count < kFanout);
   Varstr sep;
+  uint64_t sep_head;
   Node* sibling;
   const int mid = kFanout / 2;
   if (child->is_leaf) {
     auto* leaf = static_cast<LeafNode*>(child);
     auto* sib = static_cast<LeafNode*>(AllocLeaf());
     for (int i = mid; i < kFanout; ++i) {
+      sib->heads[i - mid] = leaf->heads[i];
       sib->keys[i - mid] = leaf->keys[i];
       sib->values[i - mid].store(leaf->values[i].load(std::memory_order_relaxed),
                                  std::memory_order_relaxed);
@@ -145,13 +176,16 @@ void BTree::SplitChild(InnerNode* parent, int child_idx, Node* child) {
                     std::memory_order_relaxed);
     leaf->next.store(sib, std::memory_order_release);
     sep = sib->keys[0];
+    sep_head = sib->heads[0];
     sibling = sib;
   } else {
     auto* inner = static_cast<InnerNode*>(child);
     auto* sib = static_cast<InnerNode*>(AllocInner());
     // Middle key moves up; upper keys/children move to the sibling.
     sep = inner->keys[mid];
+    sep_head = inner->heads[mid];
     for (int i = mid + 1; i < kFanout; ++i) {
+      sib->heads[i - mid - 1] = inner->heads[i];
       sib->keys[i - mid - 1] = inner->keys[i];
     }
     for (int i = mid + 1; i <= kFanout; ++i) {
@@ -165,11 +199,13 @@ void BTree::SplitChild(InnerNode* parent, int child_idx, Node* child) {
   }
   // Insert (sep, sibling) into the parent at child_idx.
   for (int i = parent->count; i > child_idx; --i) {
+    parent->heads[i] = parent->heads[i - 1];
     parent->keys[i] = parent->keys[i - 1];
     parent->children[i + 1].store(
         parent->children[i].load(std::memory_order_relaxed),
         std::memory_order_relaxed);
   }
+  parent->heads[child_idx] = sep_head;
   parent->keys[child_idx] = sep;
   parent->children[child_idx + 1].store(sibling, std::memory_order_release);
   parent->count++;
@@ -195,6 +231,7 @@ void BTree::SplitRoot() {
 Status BTree::Insert(const Slice& key, Oid oid, NodeHandle* handle,
                      Oid* existing) {
   ERMIA_CHECK(key.size() < kMaxKeySize);  // scans need successor headroom
+  const uint64_t head = KeyHead(key);
   Backoff backoff;
   for (;;) {
     Node* node = root_.load(std::memory_order_acquire);
@@ -245,7 +282,8 @@ Status BTree::Insert(const Slice& key, Oid oid, NodeHandle* handle,
     }
     auto* leaf = static_cast<LeafNode*>(node);
     const int pos = LowerBoundPos(leaf, key);
-    if (pos < leaf->count && leaf->keys[pos].slice() == key) {
+    if (pos < leaf->count &&
+        CompareSlot(leaf->heads, leaf->keys, pos, key, head) == 0) {
       const Oid ex = leaf->values[pos].load(std::memory_order_relaxed);
       if (!Validate(node, v)) {
         backoff.Pause();
@@ -261,10 +299,12 @@ Status BTree::Insert(const Slice& key, Oid oid, NodeHandle* handle,
     }
     // Lock acquired at version v: contents are exactly as read above.
     for (int i = leaf->count; i > pos; --i) {
+      leaf->heads[i] = leaf->heads[i - 1];
       leaf->keys[i] = leaf->keys[i - 1];
       leaf->values[i].store(leaf->values[i - 1].load(std::memory_order_relaxed),
                             std::memory_order_relaxed);
     }
+    leaf->heads[pos] = head;
     leaf->keys[pos].Assign(key);
     leaf->values[pos].store(oid, std::memory_order_relaxed);
     leaf->count++;
@@ -309,12 +349,15 @@ BTree::LeafNode* BTree::DescendToLeaf(const Slice& key,
 }
 
 bool BTree::Lookup(const Slice& key, Oid* oid, NodeHandle* handle) const {
+  const uint64_t head = KeyHead(key);
   Backoff backoff;
   for (;;) {
     uint64_t v;
     LeafNode* leaf = DescendToLeaf(key, &v);
     const int pos = LowerBoundPos(leaf, key);
-    const bool found = pos < leaf->count && leaf->keys[pos].slice() == key;
+    const bool found =
+        pos < leaf->count &&
+        CompareSlot(leaf->heads, leaf->keys, pos, key, head) == 0;
     const Oid value =
         found ? leaf->values[pos].load(std::memory_order_relaxed) : 0;
     if (!Validate(leaf, v)) {
@@ -414,12 +457,15 @@ size_t BTree::ScanReverse(const Slice& lo, const Slice& hi,
 }
 
 Status BTree::Remove(const Slice& key) {
+  const uint64_t head = KeyHead(key);
   Backoff backoff;
   for (;;) {
     uint64_t v;
     LeafNode* leaf = DescendToLeaf(key, &v);
     const int pos = LowerBoundPos(leaf, key);
-    const bool found = pos < leaf->count && leaf->keys[pos].slice() == key;
+    const bool found =
+        pos < leaf->count &&
+        CompareSlot(leaf->heads, leaf->keys, pos, key, head) == 0;
     if (!found) {
       if (!Validate(leaf, v)) {
         backoff.Pause();
@@ -432,6 +478,7 @@ Status BTree::Remove(const Slice& key) {
       continue;
     }
     for (int i = pos; i < leaf->count - 1; ++i) {
+      leaf->heads[i] = leaf->heads[i + 1];
       leaf->keys[i] = leaf->keys[i + 1];
       leaf->values[i].store(leaf->values[i + 1].load(std::memory_order_relaxed),
                             std::memory_order_relaxed);

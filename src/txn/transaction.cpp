@@ -34,8 +34,8 @@ Transaction::Transaction(Database* db, CcScheme scheme, bool read_only)
       index_inserts_(res_->index_inserts),
       held_locks_(res_->held_locks),
       scratch_versions_(res_->scratch_versions),
-      staging_(res_->staging),
-      read_opt_set_(res_->read_opt_set) {
+      read_opt_set_(res_->read_opt_set),
+      staging_(res_->staging) {
   db_->metrics().Inc(res_pool_hit_ ? metrics::Ctr::kTxnResPoolHits
                                    : metrics::Ctr::kTxnResPoolMisses);
   // Overload governor: writers take an admission slot BEFORE entering the
@@ -308,9 +308,10 @@ Status Transaction::Get(Index* index, const Slice& key, Slice* value) {
   return Read(index->table(), oid, value);
 }
 
-Status Transaction::ScanOids(
-    Index* index, const Slice& lo, const Slice& hi, int64_t limit,
-    const std::function<bool(const Slice&, Oid)>& cb, bool reverse) {
+template <typename Deliver>
+Status Transaction::ScanVisible(Index* index, const Slice& lo, const Slice& hi,
+                                int64_t limit, bool reverse,
+                                const Deliver& deliver) {
   ERMIA_DCHECK(!finished_);
   Table* table = index->table();
   Status inner = Status::OK();
@@ -324,7 +325,7 @@ Status Transaction::ScanOids(
       return false;
     }
     ++delivered;
-    if (!cb(key, oid)) return false;
+    if (!deliver(key, oid, value)) return false;
     return limit < 0 || delivered < limit;
   };
   std::vector<NodeHandle>* nodes = NeedsNodeSet() ? &node_set_ : nullptr;
@@ -343,39 +344,22 @@ Status Transaction::ScanOids(
   return inner;
 }
 
+Status Transaction::ScanOids(
+    Index* index, const Slice& lo, const Slice& hi, int64_t limit,
+    const std::function<bool(const Slice&, Oid)>& cb, bool reverse) {
+  return ScanVisible(index, lo, hi, limit, reverse,
+                     [&](const Slice& key, Oid oid, const Slice&) {
+                       return cb(key, oid);
+                     });
+}
+
 Status Transaction::Scan(
     Index* index, const Slice& lo, const Slice& hi, int64_t limit,
     const std::function<bool(const Slice&, const Slice&)>& cb, bool reverse) {
-  ERMIA_DCHECK(!finished_);
-  Table* table = index->table();
-  Status inner = Status::OK();
-  int64_t delivered = 0;
-  auto wrap = [&](const Slice& key, Oid oid) -> bool {
-    Slice value;
-    Status s = Read(table, oid, &value);
-    if (s.IsNotFound()) return true;  // invisible or deleted: skip
-    if (!s.ok()) {
-      inner = s;
-      return false;
-    }
-    ++delivered;
-    if (!cb(key, value)) return false;
-    return limit < 0 || delivered < limit;
-  };
-  std::vector<NodeHandle>* nodes = NeedsNodeSet() ? &node_set_ : nullptr;
-  {
-    ERMIA_PROF_INDEX();
-    if (reverse) {
-      index->tree().ScanReverse(lo, hi, wrap, nodes);
-    } else {
-      index->tree().Scan(lo, hi, wrap, nodes);
-    }
-  }
-  if (ERMIA_UNLIKELY(traced_) && inner.ok()) {
-    trace::Emit(trace::Event::kTxnScan, tid_, index->fid(),
-                static_cast<uint64_t>(delivered));
-  }
-  return inner;
+  return ScanVisible(index, lo, hi, limit, reverse,
+                     [&](const Slice& key, Oid, const Slice& value) {
+                       return cb(key, value);
+                     });
 }
 
 // ---------------------------------------------------------------------------

@@ -164,6 +164,12 @@ class Transaction {
   // them with LogUnavailable before any version is installed.
   Status CheckWriteAdmission();
   void RegisterNode(const NodeHandle& handle);
+  // Body shared by Scan and ScanOids: reads every indexed record in range,
+  // skips invisible or deleted ones, and passes (key, oid, value) of each
+  // visible one to `deliver` until it returns false or `limit` is reached.
+  template <typename Deliver>
+  Status ScanVisible(Index* index, const Slice& lo, const Slice& hi,
+                     int64_t limit, bool reverse, const Deliver& deliver);
   bool NeedsNodeSet() const {
     return scheme_ != CcScheme::kSi && !read_only_;
   }

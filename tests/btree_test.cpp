@@ -114,6 +114,70 @@ TEST(BTreeTest, OracleEquivalenceRandomOps) {
   }
 }
 
+// Keys of length 0-12 over the bytes {0x00, 0x01, 'a', 0xff}. Half of them
+// start with a prefix of one of a few 8-byte stems, so many keys share their
+// first 8 bytes (tied heads), and the zero bytes make ties such as "a" vs
+// "a\0" that only the full key compare can order.
+std::string MixedLengthKey(FastRandom& rng,
+                           const std::vector<std::string>& stems) {
+  static constexpr char kBytes[] = {'\x00', '\x01', 'a', '\xff'};
+  const size_t len = rng.UniformU64(0, 12);
+  std::string key;
+  if (rng.Bernoulli(0.5)) {
+    key = stems[rng.UniformU64(0, stems.size() - 1)].substr(0, len);
+  }
+  while (key.size() < len) key.push_back(kBytes[rng.UniformU64(0, 3)]);
+  return key;
+}
+
+TEST(BTreeTest, OracleEquivalenceMixedLengthKeys) {
+  const std::vector<std::string> stems = {
+      std::string(8, '\x00'), std::string("a\0\0\0\0\0\0\0", 8),
+      std::string("\xff\xff\xff\xff\xff\xff\xff\xff", 8),
+      std::string("a\x01\xff\0a\x01\xff\0", 8)};
+  BTree tree;
+  std::map<std::string, Oid> oracle;
+  FastRandom rng(23);
+  NodeHandle nh;
+  size_t mismatches = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const std::string key = MixedLengthKey(rng, stems);
+    const int op = static_cast<int>(rng.UniformU64(0, 2));
+    if (op == 0) {
+      const Oid oid = static_cast<Oid>(i + 1);
+      Oid existing = 0;
+      const Status s = tree.Insert(key, oid, &nh, &existing);
+      auto [it, inserted] = oracle.emplace(key, oid);
+      if (s.ok() != inserted || (!inserted && existing != it->second)) {
+        ++mismatches;
+      }
+    } else if (op == 1) {
+      Oid oid = 0;
+      const bool found = tree.Lookup(key, &oid, &nh);
+      auto it = oracle.find(key);
+      if (found != (it != oracle.end()) || (found && oid != it->second)) {
+        ++mismatches;
+      }
+    } else {
+      const Status s = tree.Remove(key);
+      if (s.ok() != (oracle.erase(key) > 0)) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  std::vector<std::pair<std::string, Oid>> scanned;
+  tree.Scan(
+      Slice(), Slice(),
+      [&](const Slice& k, Oid o) {
+        scanned.push_back({k.ToString(), o});
+        return true;
+      },
+      nullptr);
+  const std::vector<std::pair<std::string, Oid>> expected(oracle.begin(),
+                                                         oracle.end());
+  EXPECT_GT(expected.size(), 1000u);  // the tree split many times
+  EXPECT_TRUE(scanned == expected);
+}
+
 TEST(BTreeTest, RangeScanBounds) {
   BTree tree;
   NodeHandle nh;

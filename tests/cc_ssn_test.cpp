@@ -75,6 +75,28 @@ TEST_F(SsnTest, WriteSkewRejected) {
   EXPECT_TRUE(c1.ok() || c2.ok()) << "both aborted (livelock-prone but legal)";
 }
 
+// The same write skew with every row read twice: the repeat reads are not
+// tracked again, and the first reads alone must still expose the cycle.
+TEST_F(SsnTest, WriteSkewWithRepeatedReadsRejected) {
+  const Oid x = OidOf("x");
+  const Oid y = OidOf("y");
+  Transaction t1(db_->get(), CcScheme::kSiSsn);
+  Transaction t2(db_->get(), CcScheme::kSiSsn);
+  Slice v;
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE(t1.Read(table_, x, &v).ok());
+    ASSERT_TRUE(t1.Read(table_, y, &v).ok());
+    ASSERT_TRUE(t2.Read(table_, y, &v).ok());
+    ASSERT_TRUE(t2.Read(table_, x, &v).ok());
+  }
+  Status w1 = t1.Update(table_, x, "t1");
+  Status w2 = t2.Update(table_, y, "t2");
+  Status c1 = w1.ok() ? t1.Commit() : (t1.Abort(), w1);
+  Status c2 = w2.ok() ? t2.Commit() : (t2.Abort(), w2);
+  EXPECT_FALSE(c1.ok() && c2.ok()) << "write skew committed under SSN";
+  EXPECT_TRUE(c1.ok() || c2.ok()) << "both aborted (livelock-prone but legal)";
+}
+
 // Sequential sanity: the same pattern run serially is fine.
 TEST_F(SsnTest, SerialWriteSkewPatternCommits) {
   const Oid x = OidOf("x");

@@ -225,6 +225,29 @@ TEST_F(SsnReadOptTest, ReadOptDisabledTracksEverything) {
   EXPECT_EQ(delta.counter(metrics::Ctr::kSsnBitmapAdvertises), 1u);
 }
 
+// A second read of a version the transaction already tracks (its bit is in
+// the version's readers bitmap) neither advertises again nor adds a second
+// read-set entry.
+TEST_F(SsnReadOptTest, RepeatedReadAdvertisesOnce) {
+  if (std::getenv("ERMIA_SSN_READOPT") != nullptr) {
+    GTEST_SKIP() << "ERMIA_SSN_READOPT overrides the disabled baseline";
+  }
+  Open({});  // both flags off: every read is tracked
+  Database* db = db_->get();
+  Put("a", "1");
+  const metrics::MetricsSnapshot before = db->SnapshotMetrics();
+  {
+    Transaction txn(db, CcScheme::kSiSsn);
+    Slice v;
+    ASSERT_TRUE(txn.Get(pk_, "a", &v).ok());
+    ASSERT_TRUE(txn.Get(pk_, "a", &v).ok());
+    EXPECT_EQ(v.ToString(), "1");
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  const metrics::MetricsSnapshot delta = db->SnapshotMetrics().DeltaSince(before);
+  EXPECT_EQ(delta.counter(metrics::Ctr::kSsnBitmapAdvertises), 1u);
+}
+
 // Regression: the 65th concurrent tracked reader must wait (bounded backoff,
 // counted in slot_waits) and proceed as soon as a slot frees — not deadlock,
 // not crash, not silently drop tracking.
