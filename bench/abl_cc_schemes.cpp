@@ -1,8 +1,6 @@
-// Ablation: all four CC schemes (SI, SI+SSN, Silo-OCC, and the 2PL
-// extension) on the microbenchmark at low and high contention. Probes the
-// Agrawal/Carey/Livny claim the paper's §2 leans on: pessimistic CC beats
-// optimistic CC under high contention *if* its overhead is low — here all
-// four run on the identical physical layer, so the difference is pure CC.
+// Ablation: the paper's three CC schemes (SI, SI+SSN, Silo-OCC) on the
+// microbenchmark at low, mid and high contention. All three run on the
+// identical physical layer, so the difference is pure CC.
 #include "bench_util.h"
 #include "workloads/micro/micro_workload.h"
 
@@ -10,7 +8,7 @@ using namespace ermia;
 using namespace ermia::bench;
 
 int main(int argc, char** argv) {
-  PrintHeader("abl_cc_schemes: four CC schemes vs contention",
+  PrintHeader("abl_cc_schemes: three CC schemes vs contention",
               "DESIGN.md ablation (paper §2 discussion)");
   JsonReporter json(argc, argv, "abl_cc_schemes");
 
@@ -29,7 +27,7 @@ int main(int argc, char** argv) {
       {"high contention (100 rows, 20 reads, 50% writes)", 100, 20, 0.50},
   };
   const std::vector<CcScheme> schemes = {CcScheme::kOcc, CcScheme::kSi,
-                                         CcScheme::kSiSsn, CcScheme::k2pl};
+                                         CcScheme::kSiSsn};
 
   for (const Point& p : points) {
     std::printf("\n-- %s, %u threads --\n", p.name, threads);

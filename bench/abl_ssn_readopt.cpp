@@ -1,12 +1,12 @@
-// Ablation: SSN read-mostly optimizations (safe-snapshot read-only
-// transactions + old-version read exemption, docs/INTERNALS.md "Read-mostly
-// optimizations"). Three phases:
+// Ablation: SSN safe snapshots (declared read-only SSN transactions begin at
+// the safe-snapshot LSN and read with zero tracking, docs/INTERNALS.md
+// "Read-mostly optimizations"). Three phases:
 //
 //   1. Correctness gate on a declared-read-only mix (YCSB-C): with
 //      ssn_safe_snapshot on, every transaction must take the zero-tracking
 //      safe-snapshot path — zero reader-bitmap RMWs, zero aborts. Enforced
 //      with hard checks, not just printed.
-//   2. Read-mostly YCSB-B A/B: optimizations off vs on, same mix.
+//   2. Read-mostly YCSB-B A/B: safe snapshots off vs on, same mix.
 //   3. The paper's heterogeneous mixes: TPC-C-hybrid (Q2*) and TPC-E-hybrid
 //      (AssetEval) A/B, where the long read-mostly transactions are the ones
 //      the bitmap-RMW traffic hurts.
@@ -25,7 +25,6 @@ namespace {
 EngineConfig MakeConfig(bool optimized) {
   EngineConfig config;
   config.ssn_safe_snapshot = optimized;
-  config.ssn_read_opt = optimized;
   return config;
 }
 
@@ -59,7 +58,7 @@ void PrintAb(const char* label, const BenchResult& off, const BenchResult& on) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  PrintHeader("abl_ssn_readopt: SSN safe snapshots + old-version exemption",
+  PrintHeader("abl_ssn_readopt: SSN safe snapshots",
               "DESIGN.md ablation (paper §3.6, read-mostly SSN)");
   JsonReporter json(argc, argv, "abl_ssn_readopt");
 
@@ -158,7 +157,6 @@ int main(int argc, char** argv) {
     PrintAb("TPC-E-hybrid (AE 20%)", ab[0], ab[1]);
   }
 
-  std::printf("\nnote: 'on' = ssn_safe_snapshot + ssn_read_opt "
-              "(ERMIA_SSN_READOPT=on)\n");
+  std::printf("\nnote: 'on' = ssn_safe_snapshot (ERMIA_SSN_READOPT=on)\n");
   return 0;
 }

@@ -1,4 +1,4 @@
-// Ablation: YCSB mixes A/B/C/E/F across the four CC schemes (extension —
+// Ablation: YCSB mixes A/B/C/E/F across the three CC schemes (extension —
 // the standard key-value kit for memory-optimized engines). Shows the same
 // story as the paper from another angle: schemes converge on read-dominated
 // mixes (B/C) and diverge as writes and skew grow (A/F with zipf 0.8).
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
       {ycsb::YcsbMix::kC, "C (100r)"},     {ycsb::YcsbMix::kE, "E (scan/ins)"},
       {ycsb::YcsbMix::kF, "F (50r/50rmw)"}};
   const std::vector<CcScheme> schemes = {CcScheme::kOcc, CcScheme::kSi,
-                                         CcScheme::kSiSsn, CcScheme::k2pl};
+                                         CcScheme::kSiSsn};
 
   ycsb::YcsbConfig cfg;
   cfg.records = records;
@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
 
   std::printf("\n%u threads, %llu records, zipf 0.8  (kTps)\n", threads,
               static_cast<unsigned long long>(records));
-  std::printf("%-14s %12s %12s %12s %12s\n", "mix", "Silo-OCC", "ERMIA-SI",
-              "ERMIA-SSN", "ERMIA-2PL");
+  std::printf("%-14s %12s %12s %12s\n", "mix", "Silo-OCC", "ERMIA-SI",
+              "ERMIA-SSN");
   for (const auto& [mix, name] : mixes) {
     workload.set_mix(mix);
     std::printf("%-14s", name);

@@ -23,16 +23,15 @@ for t in cc_ssn_test cc_ssn_parallel_test txn_semantics_test concurrency_test \
   "$BUILD_DIR/tests/$t"
 done
 
-# Safe-snapshot / read-opt pass: ERMIA_SSN_READOPT=on flips both read-mostly
-# optimizations (docs/INTERNALS.md "Read-mostly optimizations"), so TSan sees
-# the snapshot daemon's candidate/drain/publish protocol, the sharded poison
-# table, the zero-tracking read-only path, and the compensation scan over the
-# per-thread committer index racing real SSN commit traffic. The stress test
-# also runs its own differential off/on mix internally; the env override here
-# additionally turns the optimizations on for every other scheme's runs and
-# for the parallel-commit suite.
+# Safe-snapshot pass: ERMIA_SSN_READOPT=on turns SSN safe snapshots on
+# (docs/INTERNALS.md "Read-mostly optimizations"), so TSan sees the snapshot
+# daemon's candidate/drain/publish protocol, the sharded poison table and the
+# zero-tracking read-only path racing real SSN commit traffic. The stress
+# test also runs its own differential off/on mix internally; the env
+# override here additionally turns safe snapshots on for every other
+# scheme's runs and for the parallel-commit suite.
 for t in cc_ssn_parallel_test serializability_stress_test ssn_readopt_test; do
-  echo "=== $t (tsan, ERMIA_SSN_READOPT=on) ==="
+  echo "=== $t (tsan, safe snapshots, ERMIA_SSN_READOPT=on) ==="
   ERMIA_SSN_READOPT=on "$BUILD_DIR/tests/$t"
 done
 

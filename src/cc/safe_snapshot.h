@@ -1,6 +1,6 @@
 // Copyright (c) ERMIA reproduction authors. Licensed under the MIT license.
 //
-// Safe-snapshot maintenance for SSN read-mostly optimizations (paper §3.6.2;
+// Safe-snapshot maintenance for SSN read-only transactions (paper §3.6.2;
 // "Rethinking serializable MVCC" PVLDB'15 read-only exemptions).
 //
 // The manager publishes a lagging "safe" log offset S with two guarantees:

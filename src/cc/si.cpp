@@ -58,20 +58,13 @@ Status Transaction::SiRead(Table* table, Oid oid, Slice* value) {
   const uint64_t clsn = v->clsn.load(std::memory_order_acquire);
   const bool own = IsTidStamp(clsn) && TidFromStamp(clsn) == tid_;
   if (scheme_ == CcScheme::kSiSsn && !own && !ssn_safesnap_) {
-    // Read-opt exemption (cc/safe_snapshot.h): versions committed below the
-    // safe LSN have final stamps below them and their overwriters resolve at
-    // our commit — no reader-bitmap advertisement needed. Safe-snapshot
-    // transactions skip even that (zero tracking; they serialize at the
-    // snapshot point).
-    // A version whose readers bitmap already carries our bit is tracked by
-    // an earlier read of this transaction; only we set or clear that bit, so
-    // a relaxed load sees it.
-    if (db_->config().ssn_read_opt && !IsTidStamp(clsn) &&
-        Lsn(clsn).offset() < db_->safe_snapshot_offset()) {
-      SsnOnReadExempt(v);
-    } else if (ssn_reader_slot_ == SsnReaderRegistry::kNoSlot ||
-               !(v->readers.load(std::memory_order_relaxed) &
-                 (1ull << ssn_reader_slot_))) {
+    // Safe-snapshot transactions skip tracking (they serialize at the
+    // snapshot point, cc/safe_snapshot.h). A version whose readers bitmap
+    // already carries our bit is tracked by an earlier read of this
+    // transaction; only we set or clear that bit, so a relaxed load sees it.
+    if (ssn_reader_slot_ == SsnReaderRegistry::kNoSlot ||
+        !(v->readers.load(std::memory_order_relaxed) &
+          (1ull << ssn_reader_slot_))) {
       read_set_.push_back({v, table->array().Slot(oid)});
       SsnOnRead(v);
     }

@@ -122,29 +122,6 @@ void Transaction::SsnOnRead(Version* v) {
   }
 }
 
-// Read-opt exemption (cc/safe_snapshot.h): v committed below the safe LSN.
-// Every transaction that began below that offset has finished, so v's
-// overwriter — if any — either committed already (its sstamp is final and
-// immutable) or will claim a commit stamp through the same log-offset RMW
-// chain our commit-time resolution synchronizes with. Either way the reader
-// bitmap is not needed to make the rw edge visible:
-//   - overwriter already final: fold its sstamp here and drop the version
-//     entirely (no one will ever consult v.pstamp again — only v's single
-//     overwriter reads it, and that overwriter's η is final);
-//   - overwriter absent or in flight: defer to read_opt_set_; commit re-runs
-//     the sstamp resolution and publishes our pstamp, and overwriters of
-//     old versions compensate with a committer scan (SsnFinalizePstamp).
-void Transaction::SsnOnReadExempt(Version* v) {
-  db_->metrics().Inc(metrics::Ctr::kSsnReadOptReads);
-  AtomicMax(ctx_->pstamp, v->clsn.load(std::memory_order_acquire));
-  const uint64_t vs = v->sstamp.load(std::memory_order_seq_cst);
-  if (vs != kInfinityStamp && !IsTidStamp(vs)) {
-    AtomicMin(ctx_->sstamp, vs);
-    return;  // fully resolved: zero tracking
-  }
-  read_opt_set_.push_back(v);
-}
-
 // Overwrite of committed version prev: prev's creator and prev's committed
 // readers are predecessors of T. (The TID advertisement in prev's commit
 // word is installed by SiUpdate right after the head CAS succeeds.)
@@ -167,10 +144,8 @@ Status Transaction::SsnOnUpdate(Version* prev) {
 uint64_t Transaction::SsnFinalizeSstamp(uint64_t cstamp) {
   uint64_t sstamp =
       std::min(ctx_->sstamp.load(std::memory_order_relaxed), cstamp);
-  // Tracked reads and read-opt-exempt reads resolve identically; exempt
-  // reads simply never advertised a bitmap bit (their overwriters, if any,
-  // are found right here — or compensate for us, see SsnFinalizePstamp).
-  const auto resolve = [&](Version* v) {
+  for (const auto& r : read_set_) {
+    Version* v = r.version;
     Backoff backoff;
     for (;;) {
       const uint64_t vs = v->sstamp.load(std::memory_order_seq_cst);
@@ -206,9 +181,7 @@ uint64_t Transaction::SsnFinalizeSstamp(uint64_t cstamp) {
       }
       break;
     }
-  };
-  for (const auto& r : read_set_) resolve(r.version);
-  for (Version* v : read_opt_set_) resolve(v);
+  }
   return sstamp;
 }
 
@@ -218,27 +191,6 @@ uint64_t Transaction::SsnFinalizeSstamp(uint64_t cstamp) {
 // reader registry, and waited out when ordered before us.
 uint64_t Transaction::SsnFinalizePstamp(uint64_t cstamp) {
   uint64_t pstamp = ctx_->pstamp.load(std::memory_order_relaxed);
-  // Read-opt compensation: exempt readers of old versions advertise no
-  // bitmap bit, so before resolving per-version readers we wait out every
-  // committer ordered before us, then pick their published pstamps up from
-  // the versions below. The safe-LSN load here (after our commit-order RMW)
-  // is >= any exempt reader's load before its RMW — so if a reader ordered
-  // before us exempted one of our overwritten versions, our predicate sees
-  // that version as old too and the scan covers it. Readers ordered after
-  // us resolve the edge themselves in SsnFinalizeSstamp. Rare path: only
-  // taken when overwriting a version that predates the safe LSN.
-  if (db_->config().ssn_read_opt && !write_set_.empty()) {
-    const uint64_t safe = db_->safe_snapshot_offset();
-    for (const auto& w : write_set_) {
-      if (w.prev == nullptr) continue;
-      const uint64_t s = w.prev->clsn.load(std::memory_order_acquire);
-      if (!IsTidStamp(s) && Lsn(s).offset() < safe) {
-        db_->metrics().Inc(metrics::Ctr::kSsnReadOptWriterWaits);
-        db_->tids().WaitCommittersBelow(cstamp);
-        break;
-      }
-    }
-  }
   for (const auto& w : write_set_) {
     Version* prev = w.prev;
     if (prev == nullptr) continue;
@@ -286,11 +238,6 @@ void Transaction::SsnPublishStamps(uint64_t cstamp, uint64_t pstamp,
   for (const auto& r : read_set_) {
     AtomicMax(r.version->pstamp, cstamp);
   }
-  // Exempt reads: "only the pstamp update survives" — no bitmap bit to
-  // clear, but overwriters ordered after us must still see we read these.
-  for (Version* v : read_opt_set_) {
-    AtomicMax(v->pstamp, cstamp);
-  }
   for (const auto& w : write_set_) {
     if (w.prev != nullptr) {
       w.prev->sstamp.store(sstamp, std::memory_order_seq_cst);
@@ -313,10 +260,7 @@ Status Transaction::SsnCommit() {
 
   // Advertise intent before claiming the stamp: a peer that observes
   // kCommitting with the pending sentinel re-inquires for the real stamp
-  // instead of inferring an order that does not exist yet. The per-thread
-  // committer announcement must also precede the stamp claim so the read-opt
-  // compensation scan of any later-stamped peer finds us.
-  db_->tids().BeginCommitting(ctx_);
+  // instead of inferring an order that does not exist yet.
   ctx_->cstamp.store(kCstampPending, std::memory_order_release);
   ctx_->StoreState(TxnState::kCommitting);
 
@@ -334,17 +278,7 @@ Status Transaction::SsnCommit() {
     // protocol needs (see SeqCstTailBound in log_manager.h); the previous
     // fetch_add(0) RMW bounced the shared offset line off every concurrent
     // writer for no additional guarantee.
-    //
-    // Exception: with read-opt-exempt reads we advertised no bitmap bits, so
-    // an overwriter ordered after us discovers us only through its committer
-    // scan (SsnFinalizePstamp) — and that scan is guaranteed to see our
-    // kCommitting/pending stores only if our stamp claim participates in the
-    // log offset's RMW modification order. Claim through the fetch_add in
-    // that case; the RMW costs once what the skipped per-read bitmap RMWs
-    // saved many times over.
-    cstamp = read_opt_set_.empty()
-                 ? Lsn::Make(db_->log().SeqCstTailBound(), 0).value() - 1
-                 : Lsn::Make(db_->log().OrderedTail(), 0).value() - 1;
+    cstamp = Lsn::Make(db_->log().SeqCstTailBound(), 0).value() - 1;
   }
   ctx_->cstamp.store(cstamp, std::memory_order_release);
 
@@ -383,12 +317,10 @@ Status Transaction::SsnCommit() {
       // Reuse the abort path for unlinking; the reservation is now a skip.
     }
     Abort();
-    db_->tids().EndCommitting();
     return Status::Aborted("ssn exclusion window (commit)");
   }
   if (has_writes) InstallCommitBlock(clsn);
   ctx_->StoreState(TxnState::kCommitted);
-  db_->tids().EndCommitting();
   Status ds = Status::OK();
   if (has_writes) {
     PostCommit(clsn);

@@ -72,28 +72,17 @@ struct EngineConfig {
   // recovery is unsupported in this mode.
   bool log_per_operation = false;
 
-  // SSN read-mostly optimizations (cc/safe_snapshot.h). The engine always
-  // maintains a lagging safe-snapshot LSN: the highest offset below which
-  // every transaction has fully post-committed and published its stamps, and
+  // SSN safe snapshots (cc/safe_snapshot.h). The engine always maintains a
+  // lagging safe-snapshot LSN: the highest offset below which every
+  // transaction has fully post-committed and published its stamps, and
   // below which no committed backward rw-dependency (final sstamp < offset <=
-  // cstamp) crosses. These two flags gate what is done with it;
-  // ERMIA_SSN_READOPT=off|0 clears both, on|1|both sets both, and safesnap /
-  // readopt each set only their own flag.
-  //
-  // ssn_safe_snapshot: declared read-only SiSsn transactions begin at the
-  // safe-snapshot LSN and read with zero tracking — no reader slot, no
-  // bitmap RMWs, no read set, trivial commit, can never abort. Off by
-  // default because the snapshot visibly lags the log tail (a read-only
+  // cstamp) crosses. With this flag set, declared read-only SiSsn
+  // transactions begin at that LSN and read with zero tracking — no reader
+  // slot, no bitmap RMWs, no read set, trivial commit, can never abort. Off
+  // by default because the snapshot visibly lags the log tail (a read-only
   // transaction may not observe its own thread's latest commits).
+  // ERMIA_SSN_READOPT=on|1|safesnap sets it, off|0 clears it.
   bool ssn_safe_snapshot = false;
-
-  // ssn_read_opt: non-read-only SiSsn transactions skip reader-bitmap
-  // advertisement (and the full read-set entry) for versions whose clsn is
-  // older than the safe-snapshot LSN; only the commit-time pstamp update
-  // survives. Semantics-preserving (see docs/INTERNALS.md "Read-mostly
-  // optimizations"), so it defaults on together with safe snapshots when
-  // ERMIA_SSN_READOPT=on.
-  bool ssn_read_opt = false;
 
   // Garbage collection: background thread trims version chains.
   bool enable_gc = true;

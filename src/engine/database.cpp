@@ -49,19 +49,9 @@ constexpr EnvOverride kEnvOverrides[] = {
        c.trace_sample_every = n;
      }},
     {"ERMIA_SSN_READOPT", "off|0",
-     [](EngineConfig& c, uint32_t) {
-       c.ssn_safe_snapshot = false;
-       c.ssn_read_opt = false;
-     }},
-    {"ERMIA_SSN_READOPT", "on|1|both",
-     [](EngineConfig& c, uint32_t) {
-       c.ssn_safe_snapshot = true;
-       c.ssn_read_opt = true;
-     }},
-    {"ERMIA_SSN_READOPT", "safesnap",
+     [](EngineConfig& c, uint32_t) { c.ssn_safe_snapshot = false; }},
+    {"ERMIA_SSN_READOPT", "on|1|safesnap",
      [](EngineConfig& c, uint32_t) { c.ssn_safe_snapshot = true; }},
-    {"ERMIA_SSN_READOPT", "readopt",
-     [](EngineConfig& c, uint32_t) { c.ssn_read_opt = true; }},
     {"ERMIA_OVERLOAD", "on|1",
      [](EngineConfig& c, uint32_t) { c.governor_enabled = true; }},
     {"ERMIA_OVERLOAD", "off|0",

@@ -14,7 +14,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cc/lock_manager.h"
 #include "cc/safe_snapshot.h"
 #include "cc/ssn_readers.h"
 #include "common/macros.h"
@@ -94,7 +93,6 @@ class Database {
   LogManager& log() { return log_; }
   TidManager& tids() { return tids_; }
   SsnReaderRegistry& ssn_readers() { return ssn_readers_; }
-  RecordLockTable& lock_table() { return lock_table_; }
   GarbageCollector& gc() { return *gc_; }
   EpochManager& gc_epoch() { return gc_epoch_; }
   EpochManager& rcu_epoch() { return rcu_epoch_; }
@@ -106,10 +104,10 @@ class Database {
   // because perfbench/, frozen outside benchmark changes, still calls it.
   void RefreshOccSnapshot() {}
 
-  // Safe-snapshot LSN maintenance for the SSN read-mostly optimizations
+  // Safe-snapshot LSN maintenance for SSN read-only transactions
   // (cc/safe_snapshot.h). Always maintained by the snapshot daemon — the
-  // gauge and tests don't depend on the feature flags — and consumed when
-  // EngineConfig::ssn_safe_snapshot / ssn_read_opt are set.
+  // gauge and tests don't depend on the feature flag — and consumed when
+  // EngineConfig::ssn_safe_snapshot is set.
   SafeSnapshotManager& safesnap() { return safesnap_; }
   uint64_t safe_snapshot_offset() const { return safesnap_.published(); }
 
@@ -144,7 +142,6 @@ class Database {
   // docs/INTERNALS.md "Parallel SSN commit").
   SsnReaderRegistry ssn_readers_;
   SafeSnapshotManager safesnap_;
-  RecordLockTable lock_table_;  // 2PL baseline only
   EpochManager gc_epoch_;   // version reclamation (coarse timescale)
   EpochManager rcu_epoch_;  // structure memory (medium timescale)
   EpochManager tid_epoch_;  // TID-table generations (fine timescale)

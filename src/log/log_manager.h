@@ -78,26 +78,14 @@ class LogManager {
   // losers' blocks become dead zones and they retry.
   Lsn ReserveBlock(uint32_t size);
 
-  // Zero-byte reservation: returns the current tail like CurrentOffset() but
-  // as a seq_cst RMW on the offset word, so the caller takes a position in
-  // the log's modification order without consuming LSN space. SSN's parallel
-  // commit uses this to stamp reader-only transactions: the RMW order of all
-  // commit-stamp claims (this and ReserveBlock's fetch_add) matches cstamp
-  // order, which is what lets a committer infer that any peer it observes as
-  // not-yet-committing must end up with a larger cstamp.
-  uint64_t OrderedTail() {
-    return next_offset_.fetch_add(0, std::memory_order_seq_cst);
-  }
-
-  // Contention-free variant for callers that only need a non-stale tail
-  // bound with seq_cst ordering: a seq_cst *load* of the offset word, no RMW,
-  // so read-only committers do not bounce the shared cache line that every
-  // writer's ReserveBlock hammers. The modification-order argument above
-  // still holds in both directions, because all the operations involved
-  // participate in the single total order S of seq_cst operations:
+  // A non-stale tail bound with seq_cst ordering: a seq_cst *load* of the
+  // offset word, no RMW, so read-only committers do not bounce the shared
+  // cache line that every writer's ReserveBlock hammers. SSN stamps
+  // reader-only commits with it (tail - 1). Every operation involved takes
+  // part in the single total order S of seq_cst operations, so:
   //  * Any ReserveBlock fetch_add ordered before this load in S has its
   //    value (or a later one) returned here — the caller's derived stamp
-  //    (tail - 1) is >= that writer's cstamp, exactly as with the RMW.
+  //    (tail - 1) is >= that writer's cstamp.
   //  * Any writer whose fetch_add comes after this load in S claims an
   //    offset >= the returned tail, so its cstamp is strictly above the
   //    caller's (tail - 1) stamp.
@@ -105,11 +93,6 @@ class LogManager {
   //    claim is ordered in S before that claim; a committer that observes
   //    the peer as not-yet-committing before taking this bound can still
   //    conclude the peer's eventual cstamp exceeds its own.
-  // Callers that additionally need to *occupy a position* in the offset
-  // word's modification order must keep using OrderedTail() — SSN's
-  // reader-only commit does when it carries exempt (read-opt) reads, so its
-  // stamp claim synchronizes with the pre-commit stores of every
-  // smaller-stamped writer it may need to wait on.
   uint64_t SeqCstTailBound() const {
     return next_offset_.load(std::memory_order_seq_cst);
   }

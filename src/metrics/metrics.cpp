@@ -119,12 +119,8 @@ const char* CtrName(Ctr c) {
       return "txn_res_pool_misses";
     case Ctr::kSsnSafesnapTxns:
       return "ssn_safesnap_txns";
-    case Ctr::kSsnReadOptReads:
-      return "ssn_read_opt_reads";
     case Ctr::kSsnBitmapAdvertises:
       return "ssn_bitmap_advertises";
-    case Ctr::kSsnReadOptWriterWaits:
-      return "ssn_read_opt_writer_waits";
     case Ctr::kLogStalls:
       return "log_stalls";
     case Ctr::kLogStallRetries:

@@ -45,7 +45,12 @@ enum class AbortReason : uint32_t {
   kOccWriteWrite,         // OCC install CAS lost (write-write at commit)
   kOccReadValidation,     // OCC read-set validation failed
   kPhantom,               // node-set (phantom) validation failed
-  kTplNoWait,             // 2PL bounded-wait lock acquisition gave up
+  // No scheme marks kTplNoWait any more (the 2PL scheme it served is gone).
+  // It stays because every traced perfbench result prints one
+  // cc.abort.<AbortReasonName> per reason, and BENCHMARK.json's per_layer
+  // list fixes that set of names: adding, deleting or renaming a reason
+  // breaks the benchmark's result schema. Drop it together with that name.
+  kTplNoWait,
   kLogUnavailable,        // log stalled/poisoned: writer shed at commit
   kOther,                 // anything else (safety net)
   kNumReasons,
@@ -75,7 +80,7 @@ enum class Ctr : uint32_t {
   kAbortOccWriteWrite,
   kAbortOccReadValidation,
   kAbortPhantom,
-  kAbortTplNoWait,
+  kAbortTplNoWait,  // never incremented; kept with AbortReason::kTplNoWait
   kAbortLogUnavailable,
   kAbortOther,
   // Log manager.
@@ -105,11 +110,9 @@ enum class Ctr : uint32_t {
   // Transaction resource pool (txn/txn_resources.h).
   kTxnResPoolHits,
   kTxnResPoolMisses,
-  // SSN read-mostly optimizations (cc/safe_snapshot.h).
+  // SSN read tracking (cc/ssn.cpp, cc/safe_snapshot.h).
   kSsnSafesnapTxns,        // declared-RO txns begun at the safe-snapshot LSN
-  kSsnReadOptReads,        // reads exempted from bitmap/read-set tracking
   kSsnBitmapAdvertises,    // reader-bitmap fetch_or RMWs actually performed
-  kSsnReadOptWriterWaits,  // commit-time committer scans for old overwrites
   // Graceful degradation (log/log_manager.h state machine, engine/governor,
   // engine/watchdog).
   kLogStalls,              // healthy -> stalled transitions (ENOSPC)

@@ -53,8 +53,8 @@ enum class Event : uint16_t {
   kTxnInsert,
   kTxnDelete,
   kTxnScan,
-  // Commit certification (SSN exclusion test, OCC validation, 2PL node-set
-  // validation; SI has no certification phase and emits neither).
+  // Commit certification (SSN exclusion test, OCC validation; SI has no
+  // certification phase and emits neither).
   // payloads: end(a=1 pass, 0 fail).
   kCertifyBegin,
   kCertifyEnd,

@@ -26,8 +26,6 @@ const char* SchemeShortName(uint64_t scheme) {
       return "SI+SSN";
     case 2:
       return "OCC";
-    case 3:
-      return "2PL";
   }
   return "?";
 }

@@ -12,9 +12,6 @@ TidManager::TidManager() {
   for (uint32_t i = 0; i < kSlots; ++i) {
     table_[i].tid.store(i, std::memory_order_relaxed);
   }
-  for (uint32_t t = 0; t < kMaxThreads; ++t) {
-    committing_by_thread_[t].store(nullptr, std::memory_order_relaxed);
-  }
 }
 
 TxnContext* TidManager::Begin(uint64_t* tid_out) {
@@ -98,27 +95,6 @@ TidManager::Outcome TidManager::Inquire(uint64_t tid,
         return Outcome::kAborted;
     }
     return Outcome::kStale;  // unreachable
-  }
-}
-
-void TidManager::WaitCommittersBelow(uint64_t cstamp_limit) const {
-  const uint32_t hwm = std::min(ThreadRegistry::HighWaterMark(), kMaxThreads);
-  for (uint32_t t = 0; t < hwm; ++t) {
-    const TxnContext* ctx =
-        committing_by_thread_[t].load(std::memory_order_acquire);
-    if (ctx == nullptr) continue;
-    Backoff backoff;
-    for (;;) {
-      if (ctx->released.load(std::memory_order_acquire)) break;
-      if (ctx->LoadState() != TxnState::kCommitting) break;
-      const uint64_t cstamp = ctx->cstamp.load(std::memory_order_acquire);
-      // Every committer stores the pending sentinel before kCommitting, so
-      // cstamp here is either pending or the real stamp. Peers at or above
-      // our limit are ordered after us — their certification observes us,
-      // not the other way around.
-      if (cstamp != kCstampPending && cstamp >= cstamp_limit) break;
-      backoff.Pause();  // pending or ordered before us: resolves shortly
-    }
   }
 }
 

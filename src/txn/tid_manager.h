@@ -97,35 +97,6 @@ class TidManager {
   // below the result.
   uint64_t OldestActiveBegin(uint64_t fallback) const;
 
-  // SSN committers announce themselves here for the read-opt compensation
-  // scan (cc/safe_snapshot.h). One entry per thread suffices — a thread
-  // commits one transaction at a time — so WaitCommittersBelow walks at most
-  // kMaxThreads entries instead of all 64K context slots. BeginCommitting
-  // must be called *before* the commit-order RMW that claims the stamp: the
-  // scan synchronizes through that RMW chain, so only registrations
-  // sequenced before the RMW are guaranteed visible to later-stamped
-  // scanners.
-  void BeginCommitting(TxnContext* ctx) {
-    committing_by_thread_[ThreadRegistry::MyId()].store(
-        ctx, std::memory_order_release);
-  }
-  void EndCommitting() {
-    committing_by_thread_[ThreadRegistry::MyId()].store(
-        nullptr, std::memory_order_release);
-  }
-
-  // SSN read-opt compensation: blocks until no registered committer's
-  // transaction is kCommitting with a commit stamp pending or below
-  // `cstamp_limit`. The caller must already hold a stamp >= cstamp_limit
-  // claimed through the log offset's RMW chain, which (a) makes every
-  // pre-commit store of a smaller-stamped peer (including its registration)
-  // visible to this scan and (b) keeps the waits-for relation acyclic: we
-  // only ever wait on peers strictly ordered before us, and the pending
-  // sentinel resolves in a bounded number of their instructions. A stale
-  // entry whose context was recycled by a *newer* committer only makes the
-  // wait conservative — that committer's stamp resolves above our limit.
-  void WaitCommittersBelow(uint64_t cstamp_limit) const;
-
   // Occupancy (claimed, not-yet-released slots) right now, and its high-water
   // mark since startup. Relaxed reads; sampled into the metrics snapshot.
   uint64_t ActiveCount() const {
@@ -140,9 +111,6 @@ class TidManager {
   std::atomic<uint64_t> clock_{0};  // claim cursor
   std::atomic<uint64_t> active_{0};
   std::atomic<uint64_t> occupancy_hwm_{0};
-  // Per-thread "currently committing" announcements (see BeginCommitting);
-  // initialized to nullptr in the constructor.
-  std::atomic<TxnContext*> committing_by_thread_[kMaxThreads];
 };
 
 }  // namespace ermia

@@ -17,8 +17,6 @@ const char* CcSchemeName(CcScheme scheme) {
       return "ERMIA-SSN";
     case CcScheme::kOcc:
       return "Silo-OCC";
-    case CcScheme::k2pl:
-      return "ERMIA-2PL";
   }
   return "?";
 }
@@ -32,9 +30,7 @@ Transaction::Transaction(Database* db, CcScheme scheme, bool read_only)
       write_set_(res_->write_set),
       node_set_(res_->node_set),
       index_inserts_(res_->index_inserts),
-      held_locks_(res_->held_locks),
       scratch_versions_(res_->scratch_versions),
-      read_opt_set_(res_->read_opt_set),
       staging_(res_->staging) {
   db_->metrics().Inc(res_pool_hit_ ? metrics::Ctr::kTxnResPoolHits
                                    : metrics::Ctr::kTxnResPoolMisses);
@@ -90,8 +86,6 @@ Status Transaction::Read(Table* table, Oid oid, Slice* value) {
   Status s;
   if (scheme_ == CcScheme::kOcc && !read_only_) {
     s = OccRead(table, oid, value);
-  } else if (scheme_ == CcScheme::k2pl) {
-    s = TplRead(table, oid, value);
   } else {
     s = SiRead(table, oid, value);
   }
@@ -122,8 +116,6 @@ Status Transaction::Update(Table* table, Oid oid, const Slice& value) {
   Status s;
   if (scheme_ == CcScheme::kOcc) {
     s = OccUpdate(table, oid, value, false);
-  } else if (scheme_ == CcScheme::k2pl) {
-    s = TplUpdate(table, oid, value, false);
   } else {
     s = SiUpdate(table, oid, value, false);
   }
@@ -143,8 +135,6 @@ Status Transaction::Delete(Table* table, Oid oid) {
   Status s;
   if (scheme_ == CcScheme::kOcc) {
     s = OccUpdate(table, oid, Slice(), true);
-  } else if (scheme_ == CcScheme::k2pl) {
-    s = TplUpdate(table, oid, Slice(), true);
   } else {
     s = SiUpdate(table, oid, Slice(), true);
   }
@@ -189,19 +179,10 @@ probe:
     if (s.ok()) return Status::KeyExists();
     if (!s.IsNotFound()) return s;  // conflict/abort from the read path
     // Invisible or deleted: overwrite through the normal update path, which
-    // enforces first-updater-wins (or locking) against racing writers.
-    Status us;
-    switch (scheme_) {
-      case CcScheme::kOcc:
-        us = OccUpdate(table, existing, value, false);
-        break;
-      case CcScheme::k2pl:
-        us = TplUpdate(table, existing, value, false);
-        break;
-      default:
-        us = SiUpdate(table, existing, value, false);
-        break;
-    }
+    // enforces first-updater-wins against racing writers.
+    Status us = scheme_ == CcScheme::kOcc
+                    ? OccUpdate(table, existing, value, false)
+                    : SiUpdate(table, existing, value, false);
     if (!us.ok()) return us;
     if (oid != nullptr) *oid = existing;
     return Status::OK();
@@ -214,11 +195,6 @@ probe:
   {
     ERMIA_PROF_INDIRECTION();
     new_oid = table->array().Allocate();
-  }
-  if (scheme_ == CcScheme::k2pl) {
-    // Fresh OID: the exclusive lock always succeeds; taking it keeps strict
-    // 2PL symmetric (released with everything else at commit/abort).
-    ERMIA_RETURN_NOT_OK(TplAcquire(table, new_oid, /*exclusive=*/true));
   }
   {
     ERMIA_PROF_INDIRECTION();
@@ -593,14 +569,12 @@ Status Transaction::Commit() {
     // read set must still pass Silo's commit-time validation; only declared
     // read-only transactions (one consistent snapshot) and SI snapshot
     // readers commit trivially.
-    if (scheme_ == CcScheme::kSiSsn &&
-        (!read_set_.empty() || !read_opt_set_.empty())) {
+    if (scheme_ == CcScheme::kSiSsn && !read_set_.empty()) {
       return SsnCommit();
     }
     if (scheme_ == CcScheme::kOcc && !read_only_ && !read_set_.empty()) {
       return OccReadOnlyCommit();
     }
-    if (scheme_ == CcScheme::k2pl) TplReleaseAll();
     ctx_->StoreState(TxnState::kCommitted);
     Finish(true);
     return Status::OK();
@@ -612,8 +586,6 @@ Status Transaction::Commit() {
       return SsnCommit();
     case CcScheme::kOcc:
       return OccCommit();
-    case CcScheme::k2pl:
-      return TplCommit();
   }
   return Status::InvalidArgument("unknown scheme");
 }
@@ -659,7 +631,6 @@ void Transaction::Abort() {
       w.table->array().Free(w.oid);
     }
   }
-  if (scheme_ == CcScheme::k2pl) TplReleaseAll();
   ctx_->StoreState(TxnState::kAborted);
   Finish(false);
 }

@@ -38,10 +38,6 @@ enum class CcScheme {
   kSi = 0,
   kSiSsn = 1,
   kOcc = 2,
-  // Extension (not in the paper's evaluation): classic two-phase locking on
-  // the same physical layer — the pessimistic baseline §2 discusses via
-  // Agrawal/Carey/Livny. Bounded-wait no-wait deadlock handling.
-  k2pl = 3,
 };
 
 const char* CcSchemeName(CcScheme scheme);
@@ -191,13 +187,6 @@ class Transaction {
 
   // ---- SSN (cc/ssn.cpp) ----
   void SsnOnRead(Version* version);
-  // Read-opt exemption (cc/safe_snapshot.h): `version` committed below the
-  // safe-snapshot LSN, so its overwriter's stamps are final or will be
-  // resolved at commit — fold what is already final into the local stamps
-  // and skip the reader-bitmap advertisement entirely. Versions whose
-  // overwriter is still in flight go to read_opt_set_ for commit-time
-  // resolution.
-  void SsnOnReadExempt(Version* version);
   Status SsnOnUpdate(Version* prev);
   Status SsnCommit();
   bool SsnExclusionViolated() const;
@@ -219,13 +208,6 @@ class Transaction {
   // Abort path: rolls in-flight overwrite advertisements (TID-valued commit
   // words on overwritten versions) back to kInfinityStamp.
   void SsnResetOverwriteMarks();
-
-  // ---- 2PL (cc/tpl.cpp) ----
-  Status TplAcquire(Table* table, Oid oid, bool exclusive);
-  Status TplRead(Table* table, Oid oid, Slice* value);
-  Status TplUpdate(Table* table, Oid oid, const Slice& value, bool tombstone);
-  Status TplCommit();
-  void TplReleaseAll();
 
   // ---- OCC (cc/occ.cpp) ----
   Version* OccLatestCommitted(Version* head);
@@ -272,17 +254,9 @@ class Transaction {
   std::vector<NodeHandle>& node_set_;
   std::vector<IndexInsertEntry>& index_inserts_;
 
-  // 2PL: locks held, sorted by (fid << 32 | oid) for binary search
-  // (cc/tpl.cpp).
-  std::vector<TplLockEntry>& held_locks_;
-
   // Transaction-private materializations of lazy-recovery stubs that could
   // not be swapped into the chain; freed when the transaction finishes.
   std::vector<Version*>& scratch_versions_;
-
-  // SSN read-opt: exempt reads whose overwriter was still in flight at read
-  // time (no bitmap bit, no ReadSetEntry; resolved again at commit).
-  std::vector<Version*>& read_opt_set_;
 
   // Private log staging buffer: record headers + keys + payloads,
   // concatenated in operation order (paper: "accumulate descriptors in the

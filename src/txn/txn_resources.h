@@ -1,8 +1,8 @@
 // Copyright (c) ERMIA reproduction authors. Licensed under the MIT license.
 //
 // Per-thread transaction resource reuse. Every Transaction needs the same
-// set of growable containers — read/write/node/index-insert sets, the 2PL
-// lock list, scratch versions, and the private log staging buffer. Rather
+// set of growable containers — read/write/node/index-insert sets,
+// scratch versions, and the private log staging buffer. Rather
 // than heap-allocating them per transaction, each worker thread keeps a
 // small pool of TxnResources objects: Transaction::Transaction acquires one
 // (cleared, capacity retained from earlier transactions on this thread) and
@@ -43,27 +43,13 @@ struct IndexInsertEntry {
   Oid oid;
 };
 
-// 2PL lock held by this transaction, keyed by (fid << 32 | oid). The list is
-// kept sorted by key: 2PL transactions hold few locks, so a flat vector with
-// binary search beats a per-transaction hash map (no rehash, no node allocs,
-// and the pool recycles the storage wholesale).
-struct TplLockEntry {
-  uint64_t key;
-  bool exclusive;
-};
-
 struct TxnResources {
   std::vector<ReadSetEntry> read_set;
   std::vector<WriteSetEntry> write_set;
   std::vector<NodeHandle> node_set;
   std::vector<IndexInsertEntry> index_inserts;
-  std::vector<TplLockEntry> held_locks;
   std::vector<Version*> scratch_versions;
   std::vector<char> staging;
-  // SSN read-opt exemption (cc/safe_snapshot.h): old versions read without
-  // bitmap advertisement whose overwriter sstamp was not yet final at read
-  // time. Resolved again at commit; only the pstamp publish survives.
-  std::vector<Version*> read_opt_set;
 
   // Clears every container, retaining capacity (the point of the pool).
   void Clear() {
@@ -71,10 +57,8 @@ struct TxnResources {
     write_set.clear();
     node_set.clear();
     index_inserts.clear();
-    held_locks.clear();
     scratch_versions.clear();
     staging.clear();
-    read_opt_set.clear();
   }
 };
 

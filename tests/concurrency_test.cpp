@@ -269,7 +269,7 @@ TEST_P(ConcurrencyTest, GcDoesNotDisturbReaders) {
 // SI, SSN, and OCC transactions running concurrently against the same
 // records: the schemes interoperate through the shared version-as-write-lock
 // protocol, so lost updates stay impossible and the bank sum holds even in a
-// mixed fleet. (2PL is excluded: its guarantees assume all writers lock.)
+// mixed fleet.
 TEST_F(ConcurrencyTest, MixedSchemesPreserveBankSum) {
   // Plain TEST_F-style body inside the fixture: use SI for setup.
   constexpr int kAccounts = 8;
@@ -321,7 +321,7 @@ TEST_F(ConcurrencyTest, MixedSchemesPreserveBankSum) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, ConcurrencyTest,
                          ::testing::Values(CcScheme::kSi, CcScheme::kSiSsn,
-                                           CcScheme::kOcc, CcScheme::k2pl),
+                                           CcScheme::kOcc),
                          testing::SchemeParamName);
 
 }  // namespace

@@ -478,8 +478,7 @@ TEST_P(CrashRecoveryHarness, AckedCommitsSurviveInjectedCrash) {
     int checked = 0;
     for (const auto& [key, value] : present) {
       if (++checked > 8) break;
-      for (CcScheme scheme :
-           {CcScheme::kSiSsn, CcScheme::kOcc, CcScheme::k2pl}) {
+      for (CcScheme scheme : {CcScheme::kSiSsn, CcScheme::kOcc}) {
         Transaction txn(db.get(), scheme);
         Slice v;
         ASSERT_TRUE(txn.Get(pk, key, &v).ok())

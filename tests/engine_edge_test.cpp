@@ -95,19 +95,15 @@ TEST(EnvOverrideTest, AcceptedValuesApplyAndUnknownValuesDie) {
          c.trace_sample_every = 8;
        }},
       {"ERMIA_SSN_READOPT", "off",
-       [](EngineConfig& c) { c.ssn_safe_snapshot = c.ssn_read_opt = false; }},
+       [](EngineConfig& c) { c.ssn_safe_snapshot = false; }},
       {"ERMIA_SSN_READOPT", "0",
-       [](EngineConfig& c) { c.ssn_safe_snapshot = c.ssn_read_opt = false; }},
+       [](EngineConfig& c) { c.ssn_safe_snapshot = false; }},
       {"ERMIA_SSN_READOPT", "on",
-       [](EngineConfig& c) { c.ssn_safe_snapshot = c.ssn_read_opt = true; }},
+       [](EngineConfig& c) { c.ssn_safe_snapshot = true; }},
       {"ERMIA_SSN_READOPT", "1",
-       [](EngineConfig& c) { c.ssn_safe_snapshot = c.ssn_read_opt = true; }},
-      {"ERMIA_SSN_READOPT", "both",
-       [](EngineConfig& c) { c.ssn_safe_snapshot = c.ssn_read_opt = true; }},
+       [](EngineConfig& c) { c.ssn_safe_snapshot = true; }},
       {"ERMIA_SSN_READOPT", "safesnap",
        [](EngineConfig& c) { c.ssn_safe_snapshot = true; }},
-      {"ERMIA_SSN_READOPT", "readopt",
-       [](EngineConfig& c) { c.ssn_read_opt = true; }},
       {"ERMIA_OVERLOAD", "on",
        [](EngineConfig& c) { c.governor_enabled = true; }},
       {"ERMIA_OVERLOAD", "1",
@@ -122,7 +118,6 @@ TEST(EnvOverrideTest, AcceptedValuesApplyAndUnknownValuesDie) {
   inverted.trace_mode = TraceMode::kAll;
   inverted.trace_sample_every = 3;
   inverted.ssn_safe_snapshot = true;
-  inverted.ssn_read_opt = true;
   inverted.governor_enabled = true;
   for (const Case& c : cases) {
     for (const EngineConfig& base : {EngineConfig{}, inverted}) {
@@ -137,7 +132,6 @@ TEST(EnvOverrideTest, AcceptedValuesApplyAndUnknownValuesDie) {
       EXPECT_EQ(got.trace_mode, want.trace_mode);
       EXPECT_EQ(got.trace_sample_every, want.trace_sample_every);
       EXPECT_EQ(got.ssn_safe_snapshot, want.ssn_safe_snapshot);
-      EXPECT_EQ(got.ssn_read_opt, want.ssn_read_opt);
       EXPECT_EQ(got.governor_enabled, want.governor_enabled);
       db.reset();
       ::unsetenv(c.var);
@@ -148,6 +142,8 @@ TEST(EnvOverrideTest, AcceptedValuesApplyAndUnknownValuesDie) {
       {"ERMIA_VERSION_ALLOCATOR", "mallc"},
       {"ERMIA_TRACE", "sampled:0"},
       {"ERMIA_SSN_READOPT", "yes"},
+      {"ERMIA_SSN_READOPT", "both"},
+      {"ERMIA_SSN_READOPT", "readopt"},
       {"ERMIA_OVERLOAD", "2"},
   };
   for (const auto& [var, value] : unknown) {

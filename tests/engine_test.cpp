@@ -270,7 +270,7 @@ TEST_P(EngineTest, ManyRecordsSurviveMixedTraffic) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, EngineTest,
                          ::testing::Values(CcScheme::kSi, CcScheme::kSiSsn,
-                                           CcScheme::kOcc, CcScheme::k2pl),
+                                           CcScheme::kOcc),
                          testing::SchemeParamName);
 
 }  // namespace

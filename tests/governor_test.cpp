@@ -215,7 +215,7 @@ TEST_P(GovernorStormTest, HotspotStormCompletesUnderGovernor) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, GovernorStormTest,
                          ::testing::Values(CcScheme::kSi, CcScheme::kSiSsn,
-                                           CcScheme::kOcc, CcScheme::k2pl),
+                                           CcScheme::kOcc),
                          testing::SchemeParamName);
 
 }  // namespace

@@ -14,7 +14,7 @@
 //
 // A committed history is (conflict-)serializable iff this graph is acyclic
 // (Adya's DSG restricted to committed transactions). Serializable schemes
-// (SSN, OCC, 2PL) must always yield an acyclic graph; plain SI is allowed to
+// (SSN, OCC) must always yield an acyclic graph; plain SI is allowed to
 // produce cycles (write skew: two RW edges), and the oracle must DETECT
 // those — cc_si_test asserts the positive case, so a checker bug that never
 // reports cycles cannot silently pass the acyclicity tests.

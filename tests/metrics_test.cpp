@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -106,7 +107,9 @@ TEST(EngineMetricsTest, HistogramEdgeSemantics) {
     const uint64_t v = 1ull << b;
     EXPECT_EQ(EM::BucketFor(v), b + 1) << "value " << v;
     EXPECT_EQ(EM::BucketLow(b + 1), v);
-    if (v > 1) EXPECT_EQ(EM::BucketFor(v - 1), b) << "value " << (v - 1);
+    if (v > 1) {
+      EXPECT_EQ(EM::BucketFor(v - 1), b) << "value " << (v - 1);
+    }
   }
   // Everything too large for a dedicated bucket lands in the overflow bucket.
   EXPECT_EQ(EM::BucketFor(1ull << 63), metrics::kHistBuckets - 1);
@@ -438,6 +441,34 @@ TEST(JsonWriterTest, EscapesAndNesting) {
   EXPECT_EQ(w.str(),
             "{\"str\":\"a\\\"b\\\\c\\nd\\u0001\",\"num\":42,"
             "\"arr\":[1.5,true,null]}");
+}
+
+// Every traced perfbench result prints one "cc.abort.<AbortReasonName>"
+// metric per reason, and BENCHMARK.json's per_layer list fixes that set of
+// names. Adding, deleting or renaming an AbortReason therefore has to change
+// both together, or the benchmark's result line no longer matches its schema.
+TEST(MetricsTest, AbortReasonNamesMatchBenchmarkSchema) {
+  std::ifstream in(ERMIA_BENCHMARK_JSON);
+  ASSERT_TRUE(in.good()) << "cannot open " << ERMIA_BENCHMARK_JSON;
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string schema = buf.str();
+  const size_t num_reasons =
+      static_cast<size_t>(metrics::AbortReason::kNumReasons);
+  for (size_t r = 0; r < num_reasons; ++r) {
+    const std::string name =
+        std::string("\"cc.abort.") +
+        metrics::AbortReasonName(static_cast<metrics::AbortReason>(r)) + "\"";
+    EXPECT_NE(schema.find(name), std::string::npos)
+        << name << " is missing from BENCHMARK.json";
+  }
+  size_t listed = 0;
+  for (size_t pos = schema.find("\"cc.abort."); pos != std::string::npos;
+       pos = schema.find("\"cc.abort.", pos + 1)) {
+    ++listed;
+  }
+  EXPECT_EQ(listed, num_reasons)
+      << "BENCHMARK.json lists a cc.abort.* metric for no AbortReason";
 }
 
 }  // namespace

@@ -316,11 +316,11 @@ TEST_P(RecoveryTest, LazyRecoveryFaultsPayloadsOnFirstAccess) {
     ASSERT_TRUE(occ.Commit().ok());
   }
   {
-    Transaction tpl(db_->get(), CcScheme::k2pl);
+    Transaction ssn(db_->get(), CcScheme::kSiSsn);
     Slice v;
-    ASSERT_TRUE(tpl.Get(pk_, "lazy8", &v).ok());
+    ASSERT_TRUE(ssn.Get(pk_, "lazy8", &v).ok());
     EXPECT_EQ(v.ToString(), "value-8");
-    ASSERT_TRUE(tpl.Commit().ok());
+    ASSERT_TRUE(ssn.Commit().ok());
   }
   // Repeated reads hit the materialized (head-swapped) version.
   EXPECT_EQ(Get(pk_, "lazy0"), "value-0");
@@ -564,7 +564,7 @@ TEST_P(RecoveryTest, TombstonesInvisibleToAllSchemesAfterRecovery) {
   Restart();
 
   for (CcScheme scheme :
-       {CcScheme::kSi, CcScheme::kSiSsn, CcScheme::kOcc, CcScheme::k2pl}) {
+       {CcScheme::kSi, CcScheme::kSiSsn, CcScheme::kOcc}) {
     SCOPED_TRACE(CcSchemeName(scheme));
     // Point reads: tombstoned heads must read as NotFound via both indexes.
     for (const char* dead : {"dead1", "dead2"}) {

@@ -4,7 +4,7 @@
 // every committed transaction reports its footprint. The oracle then
 // rebuilds the WR/WW/RW dependency graph from the stamped values:
 //
-//   * SSN, OCC, and 2PL claim (conflict-)serializability: the graph must be
+//   * SSN and OCC claim (conflict-)serializability: the graph must be
 //     acyclic, whatever interleaving the scheduler produced.
 //   * Plain SI does NOT: cycles of anti-dependencies (write skew) are legal
 //     outcomes, so the SI run only reports what the oracle found. The
@@ -112,8 +112,8 @@ class SerializabilityStressTest : public ::testing::TestWithParam<CcScheme> {
   // with ssn_safe_snapshot these take the zero-tracking safe-snapshot path;
   // under OCC the never-aborting snapshot at the begin offset), the rest read-write with a low write
   // probability. Workers pump the safe-snapshot protocol as they go, so the
-  // safe LSN sweeps across the versions being read and the old-version
-  // exemption boundary is exercised, not just the all-young steady state.
+  // safe LSN keeps moving and read-only transactions begin at many different
+  // safe points, not just one steady-state snapshot.
   void RunReadMostlyWorkload(CcScheme scheme) {
     auto worker = [&](int seed) {
       FastRandom rng(seed);
@@ -210,19 +210,16 @@ TEST_P(SerializabilityStressTest, CommittedHistoryMatchesIsolationClaim) {
   }
 }
 
-// Same oracle, read-mostly shape, run differentially: once with the SSN
-// read-mostly optimizations off and once with safe snapshots + the
-// old-version read exemption on. Every scheme gets both runs (the flags are
-// inert outside SSN, which doubles as a no-interference check); the SSN run
-// is the one that certifies the optimizations never commit a cycle.
+// Same oracle, read-mostly shape, run differentially: once with SSN safe
+// snapshots off and once on. Every scheme gets both runs (the flag is inert
+// outside SSN, which doubles as a no-interference check); the SSN run is the
+// one that certifies safe snapshots never commit a cycle.
 TEST_P(SerializabilityStressTest, ReadMostlyMixMatchesIsolationClaim) {
   const CcScheme scheme = GetParam();
   for (const bool optimized : {false, true}) {
-    SCOPED_TRACE(optimized ? "ssn_safe_snapshot+ssn_read_opt on"
-                           : "read-mostly optimizations off");
+    SCOPED_TRACE(optimized ? "ssn_safe_snapshot on" : "ssn_safe_snapshot off");
     EngineConfig config;
     config.ssn_safe_snapshot = optimized;
-    config.ssn_read_opt = optimized;
     Init(config);
     RunReadMostlyWorkload(scheme);
     const auto result = checker_->Check();
@@ -242,7 +239,7 @@ TEST_P(SerializabilityStressTest, ReadMostlyMixMatchesIsolationClaim) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SerializabilityStressTest,
                          ::testing::Values(CcScheme::kSi, CcScheme::kSiSsn,
-                                           CcScheme::kOcc, CcScheme::k2pl),
+                                           CcScheme::kOcc),
                          testing::SchemeParamName);
 
 }  // namespace

@@ -1,12 +1,11 @@
-// SSN read-mostly optimizations (cc/safe_snapshot.h): safe-snapshot LSN
-// maintenance, declared read-only SSN transactions with zero tracking, the
-// old-version read exemption for ordinary SSN transactions, and the reader
-// registry's saturation behavior.
+// SSN read tracking (cc/ssn.cpp, cc/safe_snapshot.h): safe-snapshot LSN
+// maintenance, declared read-only SSN transactions with zero tracking,
+// ordinary SSN transactions tracking every read, and the reader registry's
+// saturation behavior.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -135,10 +134,9 @@ TEST_F(SsnReadOptTest, SafesnapReadOnlyTxnZeroTrackingNeverAborts) {
   }
   const metrics::MetricsSnapshot delta = db->SnapshotMetrics().DeltaSince(before);
   EXPECT_EQ(delta.counter(metrics::Ctr::kSsnSafesnapTxns), kReaders);
-  // Zero tracking: no reader-bitmap RMWs and no exempt-path bookkeeping
-  // either — the safe-snapshot reader skips SSN read machinery entirely.
+  // Zero tracking: no reader-bitmap RMWs — the safe-snapshot reader skips
+  // SSN read machinery entirely.
   EXPECT_EQ(delta.counter(metrics::Ctr::kSsnBitmapAdvertises), 0u);
-  EXPECT_EQ(delta.counter(metrics::Ctr::kSsnReadOptReads), 0u);
 
   // Never-abort: overwrite a row mid-transaction. A tracked SSN reader would
   // now carry an inbound anti-dependency; the safe-snapshot reader commits
@@ -171,45 +169,10 @@ TEST_F(SsnReadOptTest, SafesnapReaderSeesStableSnapshotAcrossWriters) {
   ASSERT_TRUE(after.Commit().ok());
 }
 
-TEST_F(SsnReadOptTest, ReadOptExemptsOldVersionsTracksYoungOnes) {
-  EngineConfig config;
-  config.ssn_read_opt = true;
-  Open(config);
-  Database* db = db_->get();
-  constexpr int kOld = 8;
-  for (int i = 0; i < kOld; ++i) {
-    Put("old" + std::to_string(i), "v");
-  }
-  PublishSafeSnapshot();
-  Put("young", "v");  // clsn above the published safe LSN
-
-  const metrics::MetricsSnapshot before = db->SnapshotMetrics();
-  {
-    Transaction txn(db, CcScheme::kSiSsn);
-    Slice v;
-    for (int i = 0; i < kOld; ++i) {
-      ASSERT_TRUE(txn.Get(pk_, "old" + std::to_string(i), &v).ok());
-    }
-    ASSERT_TRUE(txn.Get(pk_, "young", &v).ok());
-    // Still a writer: the exemption must not break an ordinary update commit.
-    Oid oid = 0;
-    ASSERT_TRUE(txn.GetOid(pk_, "old0", &oid).ok());
-    ASSERT_TRUE(txn.Update(table_, oid, "v2").ok());
-    ASSERT_TRUE(txn.Commit().ok());
-  }
-  const metrics::MetricsSnapshot delta = db->SnapshotMetrics().DeltaSince(before);
-  // The kOld reads of versions below the safe LSN take the exempt path; the
-  // read of "young" (plus the GetOid re-read of old0) takes the tracked path.
-  EXPECT_EQ(delta.counter(metrics::Ctr::kSsnReadOptReads), kOld + 1);
-  EXPECT_GE(delta.counter(metrics::Ctr::kSsnBitmapAdvertises), 1u);
-  EXPECT_LE(delta.counter(metrics::Ctr::kSsnBitmapAdvertises), 2u);
-}
-
+// An ordinary (not declared read-only) SSN transaction advertises every
+// read in the version's readers bitmap, however old the version is.
 TEST_F(SsnReadOptTest, ReadOptDisabledTracksEverything) {
-  if (std::getenv("ERMIA_SSN_READOPT") != nullptr) {
-    GTEST_SKIP() << "ERMIA_SSN_READOPT overrides the disabled baseline";
-  }
-  Open({});  // both flags off
+  Open({});
   Database* db = db_->get();
   Put("a", "1");
   PublishSafeSnapshot();
@@ -221,7 +184,6 @@ TEST_F(SsnReadOptTest, ReadOptDisabledTracksEverything) {
     ASSERT_TRUE(txn.Commit().ok());
   }
   const metrics::MetricsSnapshot delta = db->SnapshotMetrics().DeltaSince(before);
-  EXPECT_EQ(delta.counter(metrics::Ctr::kSsnReadOptReads), 0u);
   EXPECT_EQ(delta.counter(metrics::Ctr::kSsnBitmapAdvertises), 1u);
 }
 
@@ -229,10 +191,7 @@ TEST_F(SsnReadOptTest, ReadOptDisabledTracksEverything) {
 // the version's readers bitmap) neither advertises again nor adds a second
 // read-set entry.
 TEST_F(SsnReadOptTest, RepeatedReadAdvertisesOnce) {
-  if (std::getenv("ERMIA_SSN_READOPT") != nullptr) {
-    GTEST_SKIP() << "ERMIA_SSN_READOPT overrides the disabled baseline";
-  }
-  Open({});  // both flags off: every read is tracked
+  Open({});
   Database* db = db_->get();
   Put("a", "1");
   const metrics::MetricsSnapshot before = db->SnapshotMetrics();

@@ -66,8 +66,6 @@ inline const char* SchemeParamName(
       return "SSN";
     case CcScheme::kOcc:
       return "OCC";
-    case CcScheme::k2pl:
-      return "TPL";
   }
   return "unknown";
 }

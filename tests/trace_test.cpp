@@ -143,7 +143,9 @@ TEST_F(TraceTest, MultiThreadDumpMergesAndSortsByTime) {
   // Global event stream is time-ordered and each txn's records all survive.
   uint64_t per_txn[kThreads] = {};
   for (size_t k = 0; k < dump.events.size(); ++k) {
-    if (k > 0) EXPECT_GE(dump.events[k].tsc, dump.events[k - 1].tsc);
+    if (k > 0) {
+      EXPECT_GE(dump.events[k].tsc, dump.events[k - 1].tsc);
+    }
     const uint64_t txn = dump.events[k].txn;
     ASSERT_GE(txn, 100u);
     ASSERT_LT(txn, 100u + kThreads);
@@ -170,8 +172,7 @@ TEST_F(TraceTest, EngineRoundTripToChromeTraceJson) {
     ASSERT_TRUE(txn.Insert(table, pk, "x", "0", &x).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
-  for (CcScheme scheme : {CcScheme::kSi, CcScheme::kSiSsn, CcScheme::kOcc,
-                          CcScheme::k2pl}) {
+  for (CcScheme scheme : {CcScheme::kSi, CcScheme::kSiSsn, CcScheme::kOcc}) {
     Transaction txn(db.get(), scheme);
     Slice v;
     ASSERT_TRUE(txn.Read(table, x, &v).ok());
@@ -207,10 +208,10 @@ TEST_F(TraceTest, EngineRoundTripToChromeTraceJson) {
       default: break;
     }
   }
-  EXPECT_GE(begins, 7);     // insert + 4 schemes + conflict pair
-  EXPECT_GE(commits, 6);
+  EXPECT_GE(begins, 6);     // insert + 3 schemes + conflict pair
+  EXPECT_GE(commits, 5);
   EXPECT_GE(aborts, 1);
-  EXPECT_GE(certifies, 3);  // SSN + OCC + 2PL certification phases
+  EXPECT_GE(certifies, 2);  // SSN + OCC certification phases
   EXPECT_EQ(ckpt, 1);
 
   const std::string json = trace::ToChromeTraceJson(dump);

@@ -54,23 +54,9 @@ TEST_P(TxnSemanticsTest, ScanHidesOthersUncommittedInserts) {
   ASSERT_TRUE(other.Insert(table_, pk_, "ghost", "x", nullptr).ok());
 
   Transaction txn(db(), scheme());
-  if (scheme() == CcScheme::k2pl) {
-    // Strict 2PL readers must wait for the inserter's exclusive lock — with
-    // bounded waiting the scan surfaces a conflict rather than dirty data.
-    std::vector<std::string> keys;
-    Status s = txn.Scan(pk_, Slice(), Slice(), -1,
-                        [&](const Slice& k, const Slice&) {
-                          keys.push_back(k.ToString());
-                          return true;
-                        });
-    EXPECT_TRUE(keys.empty());
-    EXPECT_TRUE(s.ok() || s.IsConflict());
-    txn.Abort();
-  } else {
-    // MVCC/OCC readers never block: the uncommitted insert is invisible.
-    EXPECT_TRUE(ScanKeys(txn).empty());
-    EXPECT_TRUE(txn.Commit().ok());
-  }
+  // MVCC/OCC readers never block: the uncommitted insert is invisible.
+  EXPECT_TRUE(ScanKeys(txn).empty());
+  EXPECT_TRUE(txn.Commit().ok());
   EXPECT_TRUE(other.Commit().ok());
 }
 
@@ -213,7 +199,7 @@ TEST_P(TxnSemanticsTest, StatusCodesDistinguishOutcomes) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, TxnSemanticsTest,
                          ::testing::Values(CcScheme::kSi, CcScheme::kSiSsn,
-                                           CcScheme::kOcc, CcScheme::k2pl),
+                                           CcScheme::kOcc),
                          testing::SchemeParamName);
 
 }  // namespace

@@ -234,7 +234,7 @@ TEST(TxnResourcePoolTest, ReuseRetainsCapacity) {
   EXPECT_FALSE(hit);
   r->read_set.reserve(128);
   r->staging.assign(4096, 'c');
-  r->held_locks.push_back(TplLockEntry{42, true});
+  r->write_set.push_back(WriteSetEntry{});
   const size_t read_cap = r->read_set.capacity();
   const size_t staging_cap = r->staging.capacity();
 
@@ -244,7 +244,7 @@ TEST(TxnResourcePoolTest, ReuseRetainsCapacity) {
   EXPECT_TRUE(hit);
   EXPECT_EQ(r2, r);  // LIFO: same bundle comes back
   EXPECT_TRUE(r2->read_set.empty());
-  EXPECT_TRUE(r2->held_locks.empty());
+  EXPECT_TRUE(r2->write_set.empty());
   EXPECT_TRUE(r2->staging.empty());
   // Cleared, not shrunk: capacity survives the round trip.
   EXPECT_GE(r2->read_set.capacity(), read_cap);

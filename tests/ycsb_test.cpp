@@ -94,7 +94,7 @@ TEST_P(YcsbTest, ConcurrentMixAKeepsRecordCount) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, YcsbTest,
                          ::testing::Values(CcScheme::kSi, CcScheme::kSiSsn,
-                                           CcScheme::kOcc, CcScheme::k2pl),
+                                           CcScheme::kOcc),
                          ermia::testing::SchemeParamName);
 
 }  // namespace
