@@ -89,35 +89,41 @@ Status Transaction::SiUpdate(Table* table, Oid oid, const Slice& value,
   Backoff backoff;
   for (;;) {
     Version* head = slot->load(std::memory_order_acquire);
+    if (head == nullptr) {
+      // Empty chain: the record's inserter rolled back (its index entry is
+      // gone or going) or the garbage collector retired the deleted record.
+      // A version installed here would be a row no key leads to, reported
+      // as written. Like OCC, leave the slot to whoever emptied it.
+      MarkAbort(metrics::AbortReason::kSiFirstUpdaterWins);
+      return Status::Conflict("empty chain (insert rolled back or retired)");
+    }
     Version* prev_committed = nullptr;
-    if (head != nullptr) {
-      const uint64_t s = head->clsn.load(std::memory_order_acquire);
-      if (IsTidStamp(s)) {
-        const uint64_t owner = TidFromStamp(s);
-        if (owner != tid_) {
-          uint64_t cstamp = 0;
-          const auto outcome = db_->tids().Inquire(owner, &cstamp);
-          if (outcome == TidManager::Outcome::kStale) continue;  // re-read
-          if (outcome == TidManager::Outcome::kCommitted &&
-              Lsn(cstamp).offset() < begin_) {
-            // Committed inside our snapshot, post-commit pending: updatable.
-            prev_committed = head;
-          } else {
-            // An uncommitted head acts as a write lock: the paper's
-            // first-updater-wins rule dooms us immediately, minimizing
-            // wasted work (§3.6.1).
-            MarkAbort(metrics::AbortReason::kSiFirstUpdaterWins);
-            return Status::Conflict("uncommitted head (first-updater-wins)");
-          }
+    const uint64_t s = head->clsn.load(std::memory_order_acquire);
+    if (IsTidStamp(s)) {
+      const uint64_t owner = TidFromStamp(s);
+      if (owner != tid_) {
+        uint64_t cstamp = 0;
+        const auto outcome = db_->tids().Inquire(owner, &cstamp);
+        if (outcome == TidManager::Outcome::kStale) continue;  // re-read
+        if (outcome == TidManager::Outcome::kCommitted &&
+            Lsn(cstamp).offset() < begin_) {
+          // Committed inside our snapshot, post-commit pending: updatable.
+          prev_committed = head;
+        } else {
+          // An uncommitted head acts as a write lock: the paper's
+          // first-updater-wins rule dooms us immediately, minimizing
+          // wasted work (§3.6.1).
+          MarkAbort(metrics::AbortReason::kSiFirstUpdaterWins);
+          return Status::Conflict("uncommitted head (first-updater-wins)");
         }
-        // Updating our own head: chain a fresh version on top.
-      } else {
-        if (Lsn(s).offset() >= begin_) {
-          MarkAbort(metrics::AbortReason::kSiSnapshotOverwrite);
-          return Status::Conflict("overwritten since snapshot");
-        }
-        prev_committed = head;
       }
+      // Updating our own head: chain a fresh version on top.
+    } else {
+      if (Lsn(s).offset() >= begin_) {
+        MarkAbort(metrics::AbortReason::kSiSnapshotOverwrite);
+        return Status::Conflict("overwritten since snapshot");
+      }
+      prev_committed = head;
     }
     if (scheme_ == CcScheme::kSiSsn && prev_committed != nullptr) {
       ERMIA_RETURN_NOT_OK(SsnOnUpdate(prev_committed));

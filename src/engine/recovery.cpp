@@ -500,7 +500,9 @@ Status Database::ApplyCheckpointImage(const void* image_ptr,
       InstallRecovered(table, e.oid, Slice(payload.data(), e.size), false,
                        e.clsn, e.log_ptr);
     }
-    index->tree().Insert(Slice(e.key), e.oid, nullptr, nullptr);
+    // Upsert, as in tail replay: a key maps to the OID the newest logged
+    // state gives it (an earlier attempt or image may have left another).
+    index->tree().Upsert(Slice(e.key), e.oid);
     metrics_.Inc(metrics::Ctr::kRecoveryCheckpointEntries);
     return Status::OK();
   };
@@ -609,8 +611,10 @@ Status Database::RecoverImpl() {
                 Index* index = IndexByFid(rec.fid);
                 if (index == nullptr) break;
                 index->table()->array().EnsureAllocatedThrough(rec.oid);
-                index->tree().Insert(Slice(rec.key), rec.oid, nullptr,
-                                     nullptr);
+                // A later insert of a key replaces the earlier mapping: the
+                // garbage collector retired the old record (removals are not
+                // logged) and the key came back with a fresh OID.
+                index->tree().Upsert(Slice(rec.key), rec.oid);
                 break;
               }
               default:
@@ -640,8 +644,9 @@ Status Database::RecoverImpl() {
         break;
       case LogRecordType::kIndexInsert:
         op.table->array().EnsureAllocatedThrough(op.oid);
-        op.index->tree().Insert(Slice(base + op.key_off, op.key_size), op.oid,
-                                nullptr, nullptr);
+        // Same rule as the serial path. Key routing applies one key's
+        // inserts in log order on one worker, so the last one wins.
+        op.index->tree().Upsert(Slice(base + op.key_off, op.key_size), op.oid);
         break;
       default:
         break;

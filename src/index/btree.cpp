@@ -153,10 +153,13 @@ BTree::Node* BTree::AllocLeaf() {
 }
 
 // Splits `child` (locked, full) under `parent` (locked, not full); the new
-// sibling takes the upper half.
-void BTree::SplitChild(InnerNode* parent, int child_idx, Node* child) {
+// sibling takes the keys from position `leaf_split` (leaves) or past the
+// middle (inner nodes) on.
+void BTree::SplitChild(InnerNode* parent, int child_idx, Node* child,
+                       int leaf_split) {
   ERMIA_DCHECK(child->count == kFanout);
   ERMIA_DCHECK(parent->count < kFanout);
+  ERMIA_DCHECK(leaf_split > 0 && leaf_split < kFanout);
   Varstr sep;
   uint64_t sep_head;
   Node* sibling;
@@ -164,14 +167,15 @@ void BTree::SplitChild(InnerNode* parent, int child_idx, Node* child) {
   if (child->is_leaf) {
     auto* leaf = static_cast<LeafNode*>(child);
     auto* sib = static_cast<LeafNode*>(AllocLeaf());
-    for (int i = mid; i < kFanout; ++i) {
-      sib->heads[i - mid] = leaf->heads[i];
-      sib->keys[i - mid] = leaf->keys[i];
-      sib->values[i - mid].store(leaf->values[i].load(std::memory_order_relaxed),
-                                 std::memory_order_relaxed);
+    for (int i = leaf_split; i < kFanout; ++i) {
+      sib->heads[i - leaf_split] = leaf->heads[i];
+      sib->keys[i - leaf_split] = leaf->keys[i];
+      sib->values[i - leaf_split].store(
+          leaf->values[i].load(std::memory_order_relaxed),
+          std::memory_order_relaxed);
     }
-    sib->count = kFanout - mid;
-    leaf->count = mid;
+    sib->count = kFanout - leaf_split;
+    leaf->count = leaf_split;
     sib->next.store(leaf->next.load(std::memory_order_relaxed),
                     std::memory_order_relaxed);
     leaf->next.store(sib, std::memory_order_release);
@@ -222,7 +226,7 @@ void BTree::SplitRoot() {
   const uint64_t nv = AwaitStable(new_root->version);
   ERMIA_CHECK(TryLock(new_root, nv));
   new_root->children[0].store(old_root, std::memory_order_relaxed);
-  SplitChild(new_root, 0, old_root);
+  SplitChild(new_root, 0, old_root, kFanout / 2);
   root_.store(new_root, std::memory_order_release);
   Unlock(new_root);
   Unlock(old_root);
@@ -267,7 +271,15 @@ Status BTree::Insert(const Slice& key, Oid oid, NodeHandle* handle,
           restart = true;
           break;
         }
-        SplitChild(inner, idx, child);
+        // A key bound for the leaf's upper half splits it at the insertion
+        // point: an append then leaves a full leaf behind instead of two
+        // half-empty ones, which is what ascending keys would otherwise do.
+        int leaf_split = kFanout / 2;
+        if (child->is_leaf) {
+          const int pos = LowerBoundPos(child, key);
+          if (pos > kFanout / 2) leaf_split = std::min(pos, kFanout - 1);
+        }
+        SplitChild(inner, idx, child, leaf_split);
         Unlock(child);
         Unlock(node);
         restart = true;  // re-descend: the key may belong in the sibling
@@ -456,7 +468,7 @@ size_t BTree::ScanReverse(const Slice& lo, const Slice& hi,
   return delivered;
 }
 
-Status BTree::Remove(const Slice& key) {
+Status BTree::Remove(const Slice& key, Oid expected) {
   const uint64_t head = KeyHead(key);
   Backoff backoff;
   for (;;) {
@@ -465,7 +477,9 @@ Status BTree::Remove(const Slice& key) {
     const int pos = LowerBoundPos(leaf, key);
     const bool found =
         pos < leaf->count &&
-        CompareSlot(leaf->heads, leaf->keys, pos, key, head) == 0;
+        CompareSlot(leaf->heads, leaf->keys, pos, key, head) == 0 &&
+        (expected == 0 ||
+         leaf->values[pos].load(std::memory_order_relaxed) == expected);
     if (!found) {
       if (!Validate(leaf, v)) {
         backoff.Pause();
@@ -486,6 +500,14 @@ Status BTree::Remove(const Slice& key) {
     leaf->count--;
     Unlock(leaf);
     return Status::OK();
+  }
+}
+
+void BTree::Upsert(const Slice& key, Oid oid) {
+  for (;;) {
+    Oid existing = 0;
+    if (Insert(key, oid, nullptr, &existing).ok() || existing == oid) return;
+    Remove(key, existing);
   }
 }
 

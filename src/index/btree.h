@@ -14,6 +14,9 @@
 //  * Remove() deletes leaf entries in place without merging underfull nodes;
 //    interior nodes are never freed until the tree is destroyed, so readers
 //    need no hazard pointers.
+//  * A full leaf whose new key lands in its upper half splits at the
+//    insertion point, so ascending appends (per-range ones too) leave full
+//    leaves behind; every other split takes the middle.
 #ifndef ERMIA_INDEX_BTREE_H_
 #define ERMIA_INDEX_BTREE_H_
 
@@ -66,8 +69,15 @@ class BTree {
                      const std::function<bool(const Slice& key, Oid oid)>& cb,
                      std::vector<NodeHandle>* handles) const;
 
-  // Removes the key; returns NotFound if absent. Bumps the leaf version.
-  Status Remove(const Slice& key);
+  // Removes the key; returns NotFound if absent. A nonzero `expected` (OID 0
+  // is never allocated) removes it only while it maps to that OID, and
+  // returns NotFound otherwise. Bumps the leaf version.
+  Status Remove(const Slice& key, Oid expected = 0);
+
+  // Maps key -> oid whether or not the key is present. Not atomic against
+  // concurrent writers of the same key: for log replay, which applies each
+  // key's index inserts in log order on one thread.
+  void Upsert(const Slice& key, Oid oid);
 
   // Re-reads a node's current stable version (spins across in-flight locks).
   static uint64_t StableVersion(const void* node);
@@ -94,7 +104,10 @@ class BTree {
   static int LowerBoundPos(const Node* leaf, const Slice& key);
 
   LeafNode* DescendToLeaf(const Slice& key, uint64_t* leaf_version) const;
-  void SplitChild(InnerNode* parent, int child_idx, Node* child);
+  // `leaf_split` is how many keys a split leaf keeps (inner nodes always
+  // split at the middle).
+  void SplitChild(InnerNode* parent, int child_idx, Node* child,
+                  int leaf_split);
   void SplitRoot();
   Node* AllocInner();
   Node* AllocLeaf();

@@ -101,6 +101,8 @@ const char* CtrName(Ctr c) {
       return "gc_versions_reclaimed";
     case Ctr::kGcItemsDeferred:
       return "gc_items_deferred";
+    case Ctr::kGcRecordsRetired:
+      return "gc_records_retired";
     case Ctr::kCheckpointsTaken:
       return "checkpoints_taken";
     case Ctr::kRecoveryReplayBlocks:

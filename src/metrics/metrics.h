@@ -99,6 +99,7 @@ enum class Ctr : uint32_t {
   kGcPasses,
   kGcVersionsReclaimed,
   kGcItemsDeferred,
+  kGcRecordsRetired,  // deleted records whose key and chain a pass removed
   // Checkpoint daemon (successful periodic checkpoints).
   kCheckpointsTaken,
   // Recovery (checkpoint load + log-tail replay; serial and parallel paths).

@@ -5,12 +5,13 @@
 // each chain down to the newest version still visible to the oldest active
 // transaction, unlinking older versions and deferring the actual frees to the
 // GC epoch manager so in-flight readers are never pulled out from under.
+// Deleted records are retired outright: once their tombstone is older than
+// every snapshot, the collector removes the index key and frees the chain.
 #ifndef ERMIA_STORAGE_GC_H_
 #define ERMIA_STORAGE_GC_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -43,11 +44,23 @@ class GarbageCollector {
   // Called by committing transactions for every record they overwrote.
   void NotifyUpdate(Table* table, Oid oid);
 
+  // Called by committing transactions for every record they deleted, with
+  // its key in the table's primary index. Ignored unless that is the
+  // table's only index: a secondary key cannot be found from the OID.
+  void NotifyDelete(const IndexEntry& deleted);
+
   // One collection pass; returns versions reclaimed (tests call this
   // directly; the daemon calls it on its interval). Passes are serialized:
   // two concurrent passes over one record with different horizons could
   // each unlink the same tail of its chain (the older-horizon pass cutting
   // inside the segment the other already unlinked) and free it twice.
+  //
+  // A pass walks each queued record once, however often it was queued, and
+  // retires each deleted record whose head is a committed tombstone stamped
+  // below the horizon: it claims the record by CASing the head to nullptr,
+  // removes the key if it still maps to the OID, and frees the chain. A
+  // deleted record that is not retirable yet (tombstone too young, or an
+  // in-flight writer on top) stays queued for the next pass.
   size_t RunOnce();
 
  private:
@@ -56,6 +69,13 @@ class GarbageCollector {
     Oid oid;
   };
 
+  // Trims one chain down to the version the horizon `boundary` reads.
+  size_t TrimChain(const Item& item, uint64_t boundary);
+  // Retires one deleted record; false if it must wait for a later pass.
+  bool Retire(const IndexEntry& item, uint64_t boundary, size_t* reclaimed);
+  // Defers the free of every version from `v` down; returns how many.
+  size_t FreeChain(Version* v);
+
   EpochManager* gc_epoch_;
   std::function<uint64_t()> oldest_active_;
   metrics::EngineMetrics* metrics_;  // nullable
@@ -63,14 +83,22 @@ class GarbageCollector {
   // Per-thread recycle queues (sharded by ThreadRegistry::MyId()): committing
   // workers enqueue into their own shard, so the commit path never contends
   // with other workers — only with the collector's periodic drain of that
-  // shard, which is brief and touches one shard at a time.
+  // shard, which swaps the queues out and touches one shard at a time.
+  // Deletes have their own queue so the update item stays 16 bytes.
   struct alignas(kCacheLineSize) Shard {
     SpinLatch latch;
-    std::deque<Item> queue;
+    std::vector<Item> updates;
+    std::vector<IndexEntry> deletes;
   };
   Shard shards_[kMaxThreads];
 
   std::mutex pass_mu_;
+  // Pass-local buffers, guarded by pass_mu_ and kept to reuse their
+  // capacity. `deletes_` carries the items a pass deferred to the next.
+  std::vector<Item> drained_updates_;
+  std::vector<IndexEntry> drained_deletes_;
+  std::vector<Item> updates_;
+  std::vector<IndexEntry> deletes_;
   std::thread daemon_;
   std::atomic<bool> stop_{true};
 };

@@ -60,6 +60,15 @@ class Index {
   BTree tree_;
 };
 
+// One index key and the OID it maps to. Transactions keep the entries they
+// inserted (removed again on abort) and the keys of records they deleted
+// (handed to the garbage collector at commit, which retires them).
+struct IndexEntry {
+  Index* index;
+  Varstr key;
+  Oid oid;
+};
+
 }  // namespace ermia
 
 #endif  // ERMIA_STORAGE_TABLE_H_

@@ -30,6 +30,7 @@ Transaction::Transaction(Database* db, CcScheme scheme, bool read_only)
       write_set_(res_->write_set),
       node_set_(res_->node_set),
       index_inserts_(res_->index_inserts),
+      index_deletes_(res_->index_deletes),
       scratch_versions_(res_->scratch_versions),
       staging_(res_->staging) {
   db_->metrics().Inc(res_pool_hit_ ? metrics::Ctr::kTxnResPoolHits
@@ -128,10 +129,11 @@ Status Transaction::Update(Table* table, Oid oid, const Slice& value) {
   return s;
 }
 
-Status Transaction::Delete(Table* table, Oid oid) {
+Status Transaction::Delete(Index* primary, const Slice& key, Oid oid) {
   ERMIA_DCHECK(!finished_);
   if (read_only_) return Status::InvalidArgument("read-only transaction");
   ERMIA_RETURN_NOT_OK(CheckWriteAdmission());
+  Table* table = primary->table();
   Status s;
   if (scheme_ == CcScheme::kOcc) {
     s = OccUpdate(table, oid, Slice(), true);
@@ -139,6 +141,7 @@ Status Transaction::Delete(Table* table, Oid oid) {
     s = SiUpdate(table, oid, Slice(), true);
   }
   if (s.ok()) {
+    index_deletes_.push_back({primary, Varstr(key), oid});
     db_->metrics().Inc(metrics::Ctr::kTxnDeletes);
     if (ERMIA_UNLIKELY(traced_)) {
       trace::Emit(trace::Event::kTxnDelete, tid_, table->fid(), oid);
@@ -168,8 +171,10 @@ probe:
     if (table->array().Head(existing) == nullptr) {
       // Entry present but the chain is empty: the inserter is mid-abort
       // (entry removal comes first, so this window is between its unlink and
-      // the removal we already missed). Adopting the OID now would race its
-      // free; wait out the rollback and re-probe.
+      // the removal we already missed), or the garbage collector is retiring
+      // the deleted record (it empties the chain, then removes the key).
+      // Adopting the OID now would race the free, or write a row no key
+      // leads to; wait out the removal and re-probe.
       probe_backoff.Pause();
       goto probe;
     }
@@ -442,6 +447,7 @@ void Transaction::PostCommit(Lsn clsn) {
     for (auto& w : write_set_) {
       if (w.prev != nullptr) db_->gc().NotifyUpdate(w.table, w.oid);
     }
+    for (const IndexEntry& d : index_deletes_) db_->gc().NotifyDelete(d);
   }
 }
 
@@ -604,7 +610,7 @@ void Transaction::Abort() {
   // through the entry — and we are about to free that OID.
   for (auto it = index_inserts_.rbegin(); it != index_inserts_.rend(); ++it) {
     ERMIA_PROF_INDEX();
-    it->index->tree().Remove(it->key.slice());
+    it->index->tree().Remove(it->key.slice(), it->oid);
   }
   // Unlink installed versions, newest first: our uncommitted head cannot be
   // displaced by anyone else (their CAS expects a committed head), so the

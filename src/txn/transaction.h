@@ -61,13 +61,20 @@ class Transaction {
   Status Update(Table* table, Oid oid, const Slice& value);
 
   // Creates a record and its primary index entry. If the key maps to a
-  // visibly deleted record, the OID is reused (tombstone overwrite).
+  // visibly deleted record that the garbage collector has not retired yet,
+  // the OID is reused (tombstone overwrite); a retired key is absent, so the
+  // insert takes a fresh OID and logs a new index entry.
   Status Insert(Table* table, Index* primary, const Slice& key,
                 const Slice& value, Oid* oid);
 
-  // Marks the record deleted (tombstone version; index entries remain and
-  // readers observe NotFound).
-  Status Delete(Table* table, Oid oid);
+  // Marks the record `oid` of primary->table() deleted: a tombstone version
+  // that readers observe as NotFound. `key` is its key in `primary`. Index
+  // entries stay until the garbage collector retires the record, which it
+  // does only for a table with exactly one index (a secondary key cannot be
+  // found from the OID) and only once no snapshot can read the row: it then
+  // removes `key` (if it still maps to `oid`) and frees the chain. The OID
+  // is never reused.
+  Status Delete(Index* primary, const Slice& key, Oid oid);
 
   // Adds a secondary index entry for an OID this transaction inserted.
   Status InsertIndexEntry(Index* index, const Slice& key, Oid oid);
@@ -135,7 +142,7 @@ class Transaction {
   // Transaction::WriteSetEntry spelling working.
   using ReadSetEntry = ::ermia::ReadSetEntry;
   using WriteSetEntry = ::ermia::WriteSetEntry;
-  using IndexInsertEntry = ::ermia::IndexInsertEntry;
+  using IndexEntry = ::ermia::IndexEntry;
 
   // ---- shared helpers (transaction.cpp) ----
   Status StageRecord(LogRecordType type, Fid fid, Oid oid, const Slice& key,
@@ -252,7 +259,10 @@ class Transaction {
   std::vector<ReadSetEntry>& read_set_;
   std::vector<WriteSetEntry>& write_set_;
   std::vector<NodeHandle>& node_set_;
-  std::vector<IndexInsertEntry>& index_inserts_;
+  std::vector<IndexEntry>& index_inserts_;
+  // Keys of records this transaction deleted (queued for retirement at
+  // commit).
+  std::vector<IndexEntry>& index_deletes_;
 
   // Transaction-private materializations of lazy-recovery stubs that could
   // not be swapped into the chain; freed when the transaction finishes.

@@ -37,17 +37,12 @@ struct WriteSetEntry {
   uint32_t staging_payload_off;  // payload position inside staging
 };
 
-struct IndexInsertEntry {
-  Index* index;
-  Varstr key;
-  Oid oid;
-};
-
 struct TxnResources {
   std::vector<ReadSetEntry> read_set;
   std::vector<WriteSetEntry> write_set;
   std::vector<NodeHandle> node_set;
-  std::vector<IndexInsertEntry> index_inserts;
+  std::vector<IndexEntry> index_inserts;
+  std::vector<IndexEntry> index_deletes;
   std::vector<Version*> scratch_versions;
   std::vector<char> staging;
 
@@ -57,6 +52,7 @@ struct TxnResources {
     write_set.clear();
     node_set.clear();
     index_inserts.clear();
+    index_deletes.clear();
     scratch_versions.clear();
     staging.clear();
   }

@@ -319,7 +319,7 @@ Status TxnDelivery(TpccCtx& ctx) {
           return false;
         }));
     if (o_id == 0) continue;  // district fully delivered (2.7.4.2)
-    ERMIA_RETURN_NOT_OK(txn.Delete(t.neworder, no_oid));
+    ERMIA_RETURN_NOT_OK(txn.Delete(t.neworder_pk, NewOrderKey(w, d, o_id).slice(), no_oid));
 
     OrderRow orow;
     Oid o_oid = 0;

@@ -220,7 +220,7 @@ TEST_F(OccTest, DeleteValidatesAgainstConcurrentRead) {
   ASSERT_TRUE(reader.Read(table_, x, &v).ok());
 
   Transaction deleter(db_->get(), CcScheme::kOcc);
-  ASSERT_TRUE(deleter.Delete(table_, x).ok());
+  ASSERT_TRUE(deleter.Delete(pk_, "x", x).ok());
   ASSERT_TRUE(deleter.Commit().ok());
 
   const Oid y = OidOf("y");

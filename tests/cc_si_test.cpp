@@ -265,7 +265,7 @@ TEST_F(SiTest, VersionChainServesMultipleSnapshots) {
 TEST_F(SiTest, DeleteVisibleOnlyAfterCommit) {
   const Oid x = OidOf("x");
   Transaction deleter(db_->get(), CcScheme::kSi);
-  ASSERT_TRUE(deleter.Delete(table_, x).ok());
+  ASSERT_TRUE(deleter.Delete(pk_, "x", x).ok());
 
   Transaction reader(db_->get(), CcScheme::kSi);
   Slice v;

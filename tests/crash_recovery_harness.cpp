@@ -7,7 +7,12 @@
 //      (fault::InstallPlan), opens a Database with synchronous_commit on a
 //      fresh directory, and runs a mixed YCSB-style workload (2 writer
 //      threads on disjoint key stripes, inserts/updates/deletes, periodic
-//      checkpoints, tiny segments on some seeds to force rotation). Before
+//      checkpoints and GC passes, tiny segments on some seeds to force
+//      rotation). Keys "w..." live in a table with a secondary index; keys
+//      "r..." live in a table with only a primary index and churn through
+//      deletes and re-inserts, so the GC retires them (removes the key; a
+//      re-insert gets a fresh OID) and replay must map each key to the OID
+//      its last logged index insert names. Before
 //      every Commit() the child journals the transaction's intent — seq and
 //      (op, key) pairs, values derivable from seq — over a pipe; after
 //      Commit() returns it journals the ack. The fault plan kills the child
@@ -69,6 +74,8 @@ namespace {
 
 constexpr int kThreads = 2;
 constexpr int kKeysPerThread = 48;
+// Keys per thread in the single-index table: few, so they churn.
+constexpr int kRetireKeysPerThread = 12;
 constexpr int kMaxTxnsPerThread = 400;
 
 uint64_t Mix64(uint64_t x) {
@@ -128,11 +135,45 @@ EngineConfig WorkloadConfig(const std::string& dir, const Experiment& e) {
   return config;
 }
 
-std::string KeyFor(int tid, int slot) {
+std::string KeyFor(int tid, int slot, char family = 'w') {
   char buf[32];
-  std::snprintf(buf, sizeof buf, "w%d-k%03d", tid, slot);
+  std::snprintf(buf, sizeof buf, "%c%d-k%03d", family, tid, slot);
   return buf;
 }
+
+// The two tables every process declares, in the same order (FIDs must match
+// across restarts).
+struct Schema {
+  Table* table;  // "w" keys: primary + secondary index
+  Index* pk;
+  Index* sec;
+  Table* rtable;  // "r" keys: primary index only, so deletes get retired
+  Index* rpk;
+
+  explicit Schema(Database* db)
+      : table(db->CreateTable("kv")),
+        pk(db->CreateIndex(table, "kv_pk")),
+        sec(db->CreateIndex(table, "kv_sec")),
+        rtable(db->CreateTable("kvr")),
+        rpk(db->CreateIndex(rtable, "kvr_pk")) {}
+
+  Index* PkFor(const std::string& key) const {
+    return key[0] == 'r' ? rpk : pk;
+  }
+
+  // Visible (key, value) pairs of both tables.
+  Status ScanAll(Database* db, std::map<std::string, std::string>* out) const {
+    Transaction txn(db, CcScheme::kSi);
+    for (Index* index : {pk, rpk}) {
+      ERMIA_RETURN_NOT_OK(txn.Scan(index, Slice(), Slice(), -1,
+                                   [&](const Slice& k, const Slice& v) {
+                                     (*out)[k.ToString()] = v.ToString();
+                                     return true;
+                                   }));
+    }
+    return txn.Commit();
+  }
+};
 
 // Values encode the writing transaction: "v<seq>:<key>:" + seq%120 pad
 // bytes. The oracle re-derives the exact string, so a recovered value both
@@ -166,9 +207,9 @@ struct StagedOp {
   std::string key;
 };
 
-void WorkerThread(Database* db, Table* table, Index* pk, Index* sec, int tid,
-                  uint64_t seed, int journal_fd,
-                  std::atomic<uint64_t>* seq_gen, int checkpoint_every) {
+void WorkerThread(Database* db, const Schema* schema, int tid, uint64_t seed,
+                  int journal_fd, std::atomic<uint64_t>* seq_gen,
+                  int checkpoint_every) {
   uint64_t rng = Mix64(seed ^ (0xABCDull + tid));
   auto next = [&rng]() {
     rng = Mix64(rng);
@@ -182,15 +223,23 @@ void WorkerThread(Database* db, Table* table, Index* pk, Index* sec, int tid,
     std::set<std::string> used;
     const int nops = 1 + static_cast<int>(next() % 3);
     for (int k = 0; k < nops; ++k) {
-      std::string key = KeyFor(tid, static_cast<int>(next() % kKeysPerThread));
+      // One op in three goes to the churning single-index table, where
+      // deletes are as common as puts.
+      const bool churn = next() % 3 == 0;
+      std::string key =
+          churn ? KeyFor(tid, static_cast<int>(next() % kRetireKeysPerThread),
+                         'r')
+                : KeyFor(tid, static_cast<int>(next() % kKeysPerThread));
       if (!used.insert(key).second) continue;
-      ops.push_back({next() % 10 < 7 ? 'P' : 'D', key});
+      ops.push_back({next() % 10 < (churn ? 5u : 7u) ? 'P' : 'D', key});
     }
 
     Transaction txn(db, CcScheme::kSi);
     std::vector<StagedOp> staged;
     bool failed = false;
     for (const StagedOp& op : ops) {
+      Index* pk = schema->PkFor(op.key);
+      Table* table = pk->table();
       if (op.op == 'P') {
         Oid oid = 0;
         Status s = txn.Insert(table, pk, op.key, ValueFor(seq, op.key), &oid);
@@ -203,8 +252,8 @@ void WorkerThread(Database* db, Table* table, Index* pk, Index* sec, int tid,
         } else if (!s.ok()) {
           failed = true;
           break;
-        } else if (sec_inserted.insert(op.key).second) {
-          if (!txn.InsertIndexEntry(sec, "s" + op.key, oid).ok()) {
+        } else if (pk == schema->pk && sec_inserted.insert(op.key).second) {
+          if (!txn.InsertIndexEntry(schema->sec, "s" + op.key, oid).ok()) {
             failed = true;
             break;
           }
@@ -214,7 +263,7 @@ void WorkerThread(Database* db, Table* table, Index* pk, Index* sec, int tid,
         Oid oid = 0;
         Status s = txn.GetOid(pk, op.key, &oid);
         if (s.IsNotFound()) continue;  // nothing visible to delete
-        if (!s.ok() || !txn.Delete(table, oid).ok()) {
+        if (!s.ok() || !txn.Delete(pk, op.key, oid).ok()) {
           failed = true;
           break;
         }
@@ -251,6 +300,9 @@ void WorkerThread(Database* db, Table* table, Index* pk, Index* sec, int tid,
       // design; the workload keeps going.
       (void)db->TakeCheckpoint(nullptr);
     }
+    // GC passes between commits, so deleted "r" keys get retired (and
+    // re-inserted under fresh OIDs) well before the fault fires.
+    if (cs.ok() && i % 4 == 0) db->gc().RunOnce();
   }
 }
 
@@ -261,9 +313,7 @@ void WorkerThread(Database* db, Table* table, Index* pk, Index* sec, int tid,
                            int journal_fd) {
   fault::InstallPlan(e.plan);
   Database db(WorkloadConfig(dir, e));
-  Table* table = db.CreateTable("kv");
-  Index* pk = db.CreateIndex(table, "kv_pk");
-  Index* sec = db.CreateIndex(table, "kv_sec");
+  const Schema schema(&db);
   // A survivable fault can fire during Open (e.g. a failed dir fsync while
   // creating the first segment). Nothing was acked, so an empty run is a
   // valid — if boring — experiment.
@@ -271,7 +321,7 @@ void WorkerThread(Database* db, Table* table, Index* pk, Index* sec, int tid,
   std::atomic<uint64_t> seq_gen{1};
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back(WorkerThread, &db, table, pk, sec, t, e.plan.seed,
+    workers.emplace_back(WorkerThread, &db, &schema, t, e.plan.seed,
                          journal_fd, &seq_gen, e.checkpoint_every);
   }
   for (auto& w : workers) w.join();
@@ -395,9 +445,7 @@ TEST_P(CrashRecoveryHarness, AckedCommitsSurviveInjectedCrash) {
     rconfig.recovery_threads = static_cast<uint32_t>(std::atoi(env));
   }
   auto db = std::make_unique<Database>(rconfig);
-  Table* table = db->CreateTable("kv");
-  Index* pk = db->CreateIndex(table, "kv_pk");
-  Index* sec = db->CreateIndex(table, "kv_sec");
+  auto schema = std::make_unique<Schema>(db.get());
   ASSERT_TRUE(db->Open().ok());
   Status rs = db->Recover();
   ASSERT_TRUE(rs.ok()) << "recovery must repair any torn state: "
@@ -405,71 +453,70 @@ TEST_P(CrashRecoveryHarness, AckedCommitsSurviveInjectedCrash) {
 
   // ---- per-key oracle ----
   std::map<std::string, std::string> present;  // key -> recovered value
+  std::vector<std::string> keys;
   for (int tid = 0; tid < kThreads; ++tid) {
     for (int slot = 0; slot < kKeysPerThread; ++slot) {
-      const std::string key = KeyFor(tid, slot);
-      auto hit = j.per_key.find(key);
-      const std::vector<KeyEvent> empty;
-      const std::vector<KeyEvent>& events =
-          hit == j.per_key.end() ? empty : hit->second;
-      const KeyEvent* last_acked = nullptr;
-      for (const KeyEvent& ev : events) {
-        if (j.acked.count(ev.seq)) last_acked = &ev;
-      }
-
-      Transaction txn(db.get(), CcScheme::kSi);
-      Slice v;
-      const Status s = txn.Get(pk, key, &v);
-      if (s.ok()) {
-        const std::string value = v.ToString();
-        uint64_t vseq = 0;
-        ASSERT_GT(value.size(), 1u) << key;
-        vseq = std::strtoull(value.c_str() + 1, nullptr, 10);
-        auto ops = j.intent_ops.find(vseq);
-        ASSERT_TRUE(ops != j.intent_ops.end())
-            << key << ": recovered value from unjournaled txn " << vseq;
-        auto op = ops->second.find(key);
-        ASSERT_TRUE(op != ops->second.end() && op->second == 'P')
-            << key << ": txn " << vseq << " staged no put on this key";
-        ASSERT_EQ(value, ValueFor(vseq, key)) << key << ": payload corrupted";
-        ASSERT_EQ(j.aborted.count(vseq), 0u)
-            << key << ": aborted txn " << vseq << " is visible";
-        if (last_acked != nullptr) {
-          ASSERT_GE(j.intent_pos.at(vseq), last_acked->pos)
-              << key << ": acked txn " << last_acked->seq
-              << " rolled back by older txn " << vseq;
-        }
-        present[key] = value;
-      } else {
-        ASSERT_TRUE(s.IsNotFound()) << key << ": " << s.ToString();
-        if (last_acked != nullptr && last_acked->op == 'P') {
-          // Only a possibly-durable later delete can justify the absence.
-          bool later_delete = false;
-          for (const KeyEvent& ev : events) {
-            if (ev.pos > last_acked->pos && ev.op == 'D' &&
-                !j.aborted.count(ev.seq)) {
-              later_delete = true;
-            }
-          }
-          ASSERT_TRUE(later_delete)
-              << key << ": acked put (txn " << last_acked->seq << ") lost";
-        }
-      }
-      EXPECT_TRUE(txn.Commit().ok());
+      keys.push_back(KeyFor(tid, slot));
     }
+    for (int slot = 0; slot < kRetireKeysPerThread; ++slot) {
+      keys.push_back(KeyFor(tid, slot, 'r'));
+    }
+  }
+  for (const std::string& key : keys) {
+    auto hit = j.per_key.find(key);
+    const std::vector<KeyEvent> empty;
+    const std::vector<KeyEvent>& events =
+        hit == j.per_key.end() ? empty : hit->second;
+    const KeyEvent* last_acked = nullptr;
+    for (const KeyEvent& ev : events) {
+      if (j.acked.count(ev.seq)) last_acked = &ev;
+    }
+
+    Transaction txn(db.get(), CcScheme::kSi);
+    Slice v;
+    const Status s = txn.Get(schema->PkFor(key), key, &v);
+    if (s.ok()) {
+      const std::string value = v.ToString();
+      uint64_t vseq = 0;
+      ASSERT_GT(value.size(), 1u) << key;
+      vseq = std::strtoull(value.c_str() + 1, nullptr, 10);
+      auto ops = j.intent_ops.find(vseq);
+      ASSERT_TRUE(ops != j.intent_ops.end())
+          << key << ": recovered value from unjournaled txn " << vseq;
+      auto op = ops->second.find(key);
+      ASSERT_TRUE(op != ops->second.end() && op->second == 'P')
+          << key << ": txn " << vseq << " staged no put on this key";
+      ASSERT_EQ(value, ValueFor(vseq, key)) << key << ": payload corrupted";
+      ASSERT_EQ(j.aborted.count(vseq), 0u)
+          << key << ": aborted txn " << vseq << " is visible";
+      if (last_acked != nullptr) {
+        ASSERT_GE(j.intent_pos.at(vseq), last_acked->pos)
+            << key << ": acked txn " << last_acked->seq
+            << " rolled back by older txn " << vseq;
+      }
+      present[key] = value;
+    } else {
+      ASSERT_TRUE(s.IsNotFound()) << key << ": " << s.ToString();
+      if (last_acked != nullptr && last_acked->op == 'P') {
+        // Only a possibly-durable later delete can justify the absence.
+        bool later_delete = false;
+        for (const KeyEvent& ev : events) {
+          if (ev.pos > last_acked->pos && ev.op == 'D' &&
+              !j.aborted.count(ev.seq)) {
+            later_delete = true;
+          }
+        }
+        ASSERT_TRUE(later_delete)
+            << key << ": acked put (txn " << last_acked->seq << ") lost";
+      }
+    }
+    EXPECT_TRUE(txn.Commit().ok());
   }
 
   // ---- range scan agrees with point reads (tombstones stay invisible) ----
   {
-    Transaction txn(db.get(), CcScheme::kSi);
     std::map<std::string, std::string> scanned;
-    ASSERT_TRUE(txn.Scan(pk, "w", "", -1,
-                         [&](const Slice& k, const Slice& v) {
-                           scanned[k.ToString()] = v.ToString();
-                           return true;
-                         })
-                    .ok());
-    EXPECT_TRUE(txn.Commit().ok());
+    ASSERT_TRUE(schema->ScanAll(db.get(), &scanned).ok());
     EXPECT_EQ(scanned, present);
   }
 
@@ -481,7 +528,7 @@ TEST_P(CrashRecoveryHarness, AckedCommitsSurviveInjectedCrash) {
       for (CcScheme scheme : {CcScheme::kSiSsn, CcScheme::kOcc}) {
         Transaction txn(db.get(), scheme);
         Slice v;
-        ASSERT_TRUE(txn.Get(pk, key, &v).ok())
+        ASSERT_TRUE(txn.Get(schema->PkFor(key), key, &v).ok())
             << key << " under " << CcSchemeName(scheme);
         EXPECT_EQ(v.ToString(), value) << key;
         ASSERT_TRUE(txn.Commit().ok());
@@ -490,7 +537,7 @@ TEST_P(CrashRecoveryHarness, AckedCommitsSurviveInjectedCrash) {
       // itself have been torn off: if it resolves, it must agree.
       Transaction txn(db.get(), CcScheme::kSi);
       Slice v;
-      const Status ss = txn.Get(sec, "s" + key, &v);
+      const Status ss = txn.Get(schema->sec, "s" + key, &v);
       if (ss.ok()) {
         EXPECT_EQ(v.ToString(), value) << "s" << key;
       }
@@ -503,32 +550,24 @@ TEST_P(CrashRecoveryHarness, AckedCommitsSurviveInjectedCrash) {
   // path). Per-OID chain routing plus the checkpoint/tail barrier make the
   // parallel pipeline serial-equivalent by construction; this check pins the
   // claim on every seed's torn/checkpointed/rotated log shape.
+  schema.reset();
   db.reset();
   EngineConfig serial_config = rconfig;
   serial_config.recovery_threads = 1;
   db = std::make_unique<Database>(serial_config);
-  table = db->CreateTable("kv");
-  pk = db->CreateIndex(table, "kv_pk");
-  sec = db->CreateIndex(table, "kv_sec");
+  schema = std::make_unique<Schema>(db.get());
   ASSERT_TRUE(db->Open().ok());
   ASSERT_TRUE(db->Recover().ok());
   {
-    Transaction txn(db.get(), CcScheme::kSi);
     std::map<std::string, std::string> scanned;
-    ASSERT_TRUE(txn.Scan(pk, "w", "", -1,
-                         [&](const Slice& k, const Slice& v) {
-                           scanned[k.ToString()] = v.ToString();
-                           return true;
-                         })
-                    .ok());
-    EXPECT_TRUE(txn.Commit().ok());
+    ASSERT_TRUE(schema->ScanAll(db.get(), &scanned).ok());
     EXPECT_EQ(scanned, present)
         << "serial replay disagrees with parallel replay";
   }
   for (const auto& [key, value] : present) {
     Transaction txn(db.get(), CcScheme::kSi);
     Slice v;
-    ASSERT_TRUE(txn.Get(pk, key, &v).ok())
+    ASSERT_TRUE(txn.Get(schema->PkFor(key), key, &v).ok())
         << key << " visible after parallel replay but not serial";
     EXPECT_EQ(v.ToString(), value) << key << ": serial/parallel divergence";
     ASSERT_TRUE(txn.Commit().ok());
@@ -541,26 +580,28 @@ TEST_P(CrashRecoveryHarness, AckedCommitsSurviveInjectedCrash) {
     Transaction txn(db.get(), CcScheme::kSi);
     const std::string key = "post-crash-" + std::to_string(i);
     Oid oid = 0;
-    Status s = txn.Insert(table, pk, key, "pv" + std::to_string(i), &oid);
+    Status s = txn.Insert(schema->table, schema->pk, key,
+                          "pv" + std::to_string(i), &oid);
     if (s.IsKeyExists()) {
-      ASSERT_TRUE(txn.GetOid(pk, key, &oid).ok());
-      ASSERT_TRUE(txn.Update(table, oid, "pv" + std::to_string(i)).ok());
+      ASSERT_TRUE(txn.GetOid(schema->pk, key, &oid).ok());
+      ASSERT_TRUE(
+          txn.Update(schema->table, oid, "pv" + std::to_string(i)).ok());
     } else {
       ASSERT_TRUE(s.ok()) << s.ToString();
     }
     ASSERT_TRUE(txn.Commit().ok()) << key;
   }
+  schema.reset();
   db.reset();  // the restart: tear down fully before reopening the log
   db = std::make_unique<Database>(rconfig);
-  table = db->CreateTable("kv");
-  pk = db->CreateIndex(table, "kv_pk");
-  sec = db->CreateIndex(table, "kv_sec");
+  schema = std::make_unique<Schema>(db.get());
   ASSERT_TRUE(db->Open().ok());
   ASSERT_TRUE(db->Recover().ok());
   for (int i = 0; i < 20; ++i) {
     Transaction txn(db.get(), CcScheme::kSi);
     Slice v;
-    ASSERT_TRUE(txn.Get(pk, "post-crash-" + std::to_string(i), &v).ok())
+    ASSERT_TRUE(
+        txn.Get(schema->pk, "post-crash-" + std::to_string(i), &v).ok())
         << "commit acknowledged after first recovery lost by second";
     EXPECT_EQ(v.ToString(), "pv" + std::to_string(i));
     ASSERT_TRUE(txn.Commit().ok());
@@ -569,11 +610,13 @@ TEST_P(CrashRecoveryHarness, AckedCommitsSurviveInjectedCrash) {
   for (const auto& [key, value] : present) {
     Transaction txn(db.get(), CcScheme::kSi);
     Slice v;
-    ASSERT_TRUE(txn.Get(pk, key, &v).ok()) << key << " lost on re-recovery";
+    ASSERT_TRUE(txn.Get(schema->PkFor(key), key, &v).ok())
+        << key << " lost on re-recovery";
     EXPECT_EQ(v.ToString(), value) << key;
     ASSERT_TRUE(txn.Commit().ok());
   }
 
+  schema.reset();
   db.reset();
   testing::RemoveDir(dir);
 }

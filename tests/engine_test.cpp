@@ -120,7 +120,7 @@ TEST_P(EngineTest, DeleteThenReinsertReusesKey) {
   }
   {
     Transaction txn(db(), scheme());
-    ASSERT_TRUE(txn.Delete(table_, oid).ok());
+    ASSERT_TRUE(txn.Delete(pk_, "k", oid).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
   {
@@ -207,7 +207,7 @@ TEST_P(EngineTest, ScanSkipsDeletedRecords) {
   }
   {
     Transaction txn(db(), scheme());
-    ASSERT_TRUE(txn.Delete(table_, oid).ok());
+    ASSERT_TRUE(txn.Delete(pk_, "b", oid).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
   Transaction txn(db(), scheme());

@@ -81,7 +81,7 @@ class RecoveryTest : public ::testing::TestWithParam<uint32_t> {
     Transaction txn(db_->get(), CcScheme::kSi);
     Oid oid = 0;
     ASSERT_TRUE(txn.GetOid(pk_, key, &oid).ok());
-    ASSERT_TRUE(txn.Delete(table_, oid).ok());
+    ASSERT_TRUE(txn.Delete(pk_, key, oid).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
 
@@ -154,7 +154,7 @@ TEST_P(RecoveryTest, DeletesSurvive) {
     Transaction txn(db_->get(), CcScheme::kSi);
     Oid oid = 0;
     ASSERT_TRUE(txn.GetOid(pk_, "gone", &oid).ok());
-    ASSERT_TRUE(txn.Delete(table_, oid).ok());
+    ASSERT_TRUE(txn.Delete(pk_, "gone", oid).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
   Restart();
@@ -206,7 +206,7 @@ TEST_P(RecoveryTest, CheckpointSkipsRecordsDeletedBeforeIt) {
     Transaction txn(db_->get(), CcScheme::kSi);
     Oid oid = 0;
     ASSERT_TRUE(txn.GetOid(pk_, "dead-before", &oid).ok());
-    ASSERT_TRUE(txn.Delete(table_, oid).ok());
+    ASSERT_TRUE(txn.Delete(pk_, "dead-before", oid).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
   // The tombstoned record must not be resurrected by the checkpoint (it is
@@ -217,7 +217,7 @@ TEST_P(RecoveryTest, CheckpointSkipsRecordsDeletedBeforeIt) {
     Transaction txn(db_->get(), CcScheme::kSi);
     Oid oid = 0;
     ASSERT_TRUE(txn.GetOid(pk_, "dead-after", &oid).ok());
-    ASSERT_TRUE(txn.Delete(table_, oid).ok());
+    ASSERT_TRUE(txn.Delete(pk_, "dead-after", oid).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
   Restart();

@@ -89,17 +89,29 @@ TEST_F(SsnReadOptTest, PoisonedCandidateIsBurntThenLaterCandidatePublishes) {
   Put("a", "1");
   PublishSafeSnapshot();
   const uint64_t published = db->safe_snapshot_offset();
+  // A committed backward edge (final sstamp < cstamp) spanning every
+  // candidate in (published, covers]: those candidates must burn. It goes in
+  // before "b" commits because the snapshot daemon ticks on its own: a
+  // candidate it validated between that commit and a later record would be
+  // published (rightly: no edge existed yet), and no candidate in the
+  // interval would be left to burn.
+  const uint64_t covers = db->log().CurrentOffset() + (64u << 4);
+  db->safesnap().RecordBackwardEdge(published, covers);
+  const uint64_t burnt_before = db->safesnap().GetStats().burnt;
   Put("b", "2");
   const uint64_t tail = db->log().CurrentOffset();
   ASSERT_GT(tail, published);
-  // A committed backward edge (final sstamp < cstamp) spanning every
-  // candidate in (published, tail + covers]: those candidates must burn.
-  const uint64_t covers = tail + (64u << 4);
-  db->safesnap().RecordBackwardEdge(published, covers);
-  const uint64_t burnt_before = db->safesnap().GetStats().burnt;
-  for (int i = 0; i < 100 && db->safesnap().GetStats().burnt == burnt_before;
-       ++i) {
+  ASSERT_LE(tail, covers);
+  // A round validates only once every epoch straggler has left, and a GC
+  // pass pins the epoch for its whole duration: on a loaded host that can
+  // outlast any fixed count of back-to-back Ticks, so bound the wait by
+  // wall-clock time instead.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (db->safesnap().GetStats().burnt == burnt_before &&
+         std::chrono::steady_clock::now() < deadline) {
     db->safesnap().Tick(db->gc_epoch(), db->log().CurrentOffset());
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   EXPECT_GT(db->safesnap().GetStats().burnt, burnt_before);
   EXPECT_EQ(db->safe_snapshot_offset(), published) << "unsafe candidate leaked";
